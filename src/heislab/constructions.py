@@ -19,7 +19,8 @@ MAX_POINTS = 10**7
 
 
 class ResourceLimitError(Exception):
-    """A construction would exceed the point / rectangle budget."""
+    """A construction would exceed the point / rectangle budget, or a net
+    lattice would need column indices beyond 2**52."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -512,11 +513,13 @@ def load_cloud(path) -> WeightedCloud:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != ["x", "y", "t", "weight"]:
             raise ValueError(f"unexpected CSV header {header}")
         for row in reader:
             rows.append([float(v) for v in row])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     mpath = sidecar_path(path)
     if mpath.exists():

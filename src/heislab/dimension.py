@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructions import WeightedCloud
+from .constructions import ResourceLimitError, WeightedCloud
 from .hgeom import MetricKind, beta_minus, beta_plus, dist_pairs
+
+_CHUNK = 4096  # covered flags read per step while the cursor seeks the next center
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,13 +49,13 @@ class ComparisonReport:
 
 def worker_count() -> int:
     env = os.environ.get("HEISLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if env and not (env.strip().isdecimal() and int(env) >= 1):
+        raise ValueError(f"HEISLAB_THREADS must be a positive integer, got {env!r}")
+    return int(env) if env else os.cpu_count() or 1
 
 
 def _pair_dist(points: np.ndarray, idx: np.ndarray, q: np.ndarray, metric: MetricKind) -> np.ndarray:
-    sub = points[idx]
+    sub = points.take(idx, axis=0)
     dx = sub[:, 0] - q[0]
     dy = sub[:, 1] - q[1]
     if metric is MetricKind.EUCLIDEAN:
@@ -63,91 +66,87 @@ def _pair_dist(points: np.ndarray, idx: np.ndarray, q: np.ndarray, metric: Metri
     return (horiz * horiz + tw * tw) ** 0.25
 
 
-def _greedy_scan(points: np.ndarray, delta: float, metric: MetricKind) -> np.ndarray:
-    """Shrinking sweep: the first uncovered point in stored order becomes a
-    center and covers everything within delta. Equivalent to scanning points
-    in order and keeping those farther than delta from every kept center."""
-    n = points.shape[0]
-    alive = np.arange(n)
-    centers = []
-    while alive.size:
-        c = alive[0]
-        centers.append(int(c))
-        d = _pair_dist(points, alive, points[c], metric)
-        alive = alive[d > delta]
-    return np.asarray(centers, dtype=np.int64)
-
-
-def _greedy_hash(points: np.ndarray, delta: float, metric: MetricKind) -> np.ndarray:
-    """Same output as the scan, accelerated by a lattice of side delta in x, y
-    and, for the anisotropic metric, delta^2 + 4*B*delta in t (B the largest
-    |x|, |y| in the cloud, bounding the shear of the twist term), so covered
-    pairs always share neighboring cells. The lattice only filters candidates;
-    exact distance decides coverage."""
-    n = points.shape[0]
-    if metric is MetricKind.EUCLIDEAN:
-        t_side = delta
-    else:
-        B = float(np.abs(points[:, :2]).max()) if n else 0.0
-        t_side = (delta * delta + 4.0 * B * delta) * (1.0 + 1e-9)
-    ix = np.floor(points[:, 0] / delta).astype(np.int64)
-    iy = np.floor(points[:, 1] / delta).astype(np.int64)
-    iz = np.floor(points[:, 2] / t_side).astype(np.int64)
-    ix -= ix.min()
-    iy -= iy.min()
-    iz -= iz.min()
-    # pad the strides so out-of-range neighbor keys cannot alias real cells
-    ny = int(iy.max()) + 3
-    nz = int(iz.max()) + 3
-    key = (ix * ny + iy) * nz + iz
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    bounds = np.append(starts, n)
-    cells = {int(k): order[a:b] for k, a, b in zip(uniq, bounds[:-1], bounds[1:])}
-    offsets = [(dx * ny + dy) * nz + dz
-               for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-    covered = np.zeros(n, dtype=bool)
-    centers: list[int] = []
-    cursor = 0
-    while cursor < n:
-        if covered[cursor]:
-            cursor += 1
-            continue
-        c = cursor
-        centers.append(c)
-        base = int(key[c])
-        cand = [cells[k] for k in (base + off for off in offsets) if k in cells]
-        idx = cand[0] if len(cand) == 1 else np.concatenate(cand)
-        d = _pair_dist(points, idx, points[c], metric)
-        covered[idx[d <= delta]] = True
-    return np.asarray(centers, dtype=np.int64)
-
-
-def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind,
-               strategy: str = "auto") -> tuple[NetCount, np.ndarray]:
+def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[NetCount, np.ndarray]:
     """Greedy net of the cloud support at scale delta: returns the count and
-    the center indices. Centers are pairwise more than delta apart and every
-    point lies within delta of a center."""
+    the center indices. In stored order, the first uncovered point becomes a
+    center and covers every point within delta.
+
+    Candidates come from (x, y) columns of width w = delta (Euclidean) or
+    delta/2 (gauge) sorted by s = t, or for the gauge metric s = t - 2(X y - x Y),
+    t seen from the column's corner (X, Y). By left invariance a center's
+    candidates in a neighbouring column are one s-interval of half-width delta,
+    or at most delta^2 + 4(delta + w)w however wide the cloud; padding makes
+    rounding only add candidates, and exact distance decides coverage."""
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive, got {delta}")
-    if len(cloud) == 0:
-        raise ValueError("empty cloud")
-    if strategy == "auto":
-        # the cover sweep costs O(centers * n); the lattice walk costs O(n)
-        # plus the grid build, which only pays off beyond small clouds
-        strategy = "hash" if len(cloud) > 50_000 else "scan"
-    if strategy == "scan":
-        centers = _greedy_scan(cloud.points, delta, metric)
-    elif strategy == "hash":
-        centers = _greedy_hash(cloud.points, delta, metric)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return NetCount(delta=delta, count=int(centers.size)), centers
+    points, n = cloud.points, len(cloud)
+    if n == 0 or not np.isfinite(points).all():
+        raise ValueError("the cloud must be non-empty with finite coordinates")
+    gauge = metric is MetricKind.HEISENBERG
+    w = delta / 2.0 if gauge else delta
+    x, y, t = points.T
+    # per axis: slabs floor(coord / w), ranked so that indices stay small, and the first and
+    # last slab within delta of each, from the points' extents so that rounding hides none
+    axes, bound = [], 0.0
+    for coord in (x, y):
+        srt = np.sort(coord)
+        if max(-srt[0], srt[-1]) / w > 2.0**52:
+            raise ResourceLimitError(f"lattice column index beyond 2**52 at delta={delta}")
+        new = np.flatnonzero(np.diff(np.floor(srt / w)))
+        lo, hi = srt[np.r_[0, new + 1]], srt[np.r_[new, n - 1]]
+        bound = max(bound, -srt[0], srt[-1])
+        reach = delta * (1.0 + 1e-9) + 8.0 * _EPS * bound
+        axes.append((lo.searchsorted(coord, "right") - 1, lo,
+                     hi.searchsorted(lo - reach), lo.searchsorted(hi + reach, "right") - 1))
+    (rx, X, xfirst, xlast), (ry, Y, yfirst, ylast) = axes
+    codes, col = np.unique(rx * Y.size + ry, return_inverse=True)
+    # neighbour table in CSR form: the columns within reach of each column
+    cx, cy = np.divmod(codes, Y.size)
+    ix = xfirst[cx, None] + np.arange((xlast - xfirst).max() + 1)
+    iy = yfirst[cy, None] + np.arange((ylast - yfirst).max() + 1)
+    want = np.where((ix <= xlast[cx, None])[:, :, None] & (iy <= ylast[cy, None])[:, None, :],
+                    ix[:, :, None] * Y.size + iy[:, None, :], -1).reshape(codes.size, -1)
+    pos = codes.searchsorted(want).clip(max=codes.size - 1)
+    hit = codes[pos] == want
+    nbrs, ptr = pos[hit], np.r_[0, hit.sum(1).cumsum()]
+    s, half, slack = ((t - 2.0 * (X[rx] * y - x * Y[ry]), delta * delta, 4.0 * (delta + w) * w)
+                      if gauge else (t, delta, 0.0))
+    # s, window centers and distances round by a few ulps of this scale
+    scale = max(-t.min(), t.max()) + (4.0 * bound * (bound + w) if gauge else 0.0)
+    half += 1e-9 * (half + slack) + 64.0 * _EPS * scale
+    smin, span = s.min(), s.max() - s.min()
+    base = np.arange(codes.size) * (2.0 * span if span > 0.0 else 1.0)
+    key = base[col] + (s - smin)
+    del axes, rx, ry, s, srt, want, pos, hit
+    order = key.argsort()
+    key, X, Y = key[order], X[cx], Y[cy]
+    covered, centers, c = np.zeros(n, dtype=bool), [], 0
+    while c < n:
+        if covered[c]:
+            c += int(covered[c:c + _CHUNK].argmin()) or _CHUNK
+            continue
+        centers.append(c)
+        q = points[c]
+        nb = nbrs[ptr[col[c]]:ptr[col[c] + 1]]
+        off = q[2] - smin
+        if gauge:
+            # from corner (X', Y') q's key is off + 2(qy u - qx v), (u, v) = q - (X', Y'); a point
+            # p's adds tw + 2(b u - a v), |tw| <= delta^2, (a, b) = p - (X', Y') in [0, w]^2
+            u, v = q[0] - X[nb], q[1] - Y[nb]
+            off = off + 2.0 * (q[1] * u - q[0] * v)
+            lo = (off - half + 2.0 * w * (u.clip(max=0.0) - v.clip(min=0.0))).clip(0.0, span)
+            hi = (off + half + 2.0 * w * (u.clip(min=0.0) - v.clip(max=0.0))).clip(0.0, span)
+        else:
+            lo, hi = max(off - half, 0.0), min(off + half, span)
+        b = base[nb]
+        first, last = key.searchsorted(b + lo).tolist(), key.searchsorted(b + hi, "right").tolist()
+        idx = np.concatenate([order[a:e] for a, e in zip(first, last)])
+        covered[idx[_pair_dist(points, idx, q, metric) <= delta]] = True
+        covered[c] = True  # the sweep advances even if rounding ever left c out of its window
+    return NetCount(delta=delta, count=len(centers)), np.asarray(centers, dtype=np.int64)
 
 
-def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind,
-               strategy: str = "auto") -> list[NetCount]:
+def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind) -> list[NetCount]:
     """One net per delta; deltas must be strictly positive and strictly decreasing."""
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas):
@@ -157,9 +156,8 @@ def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind,
     workers = min(worker_count(), len(deltas))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda d: greedy_net(cloud, d, metric, strategy)[0], deltas))
-        return results
-    return [greedy_net(cloud, d, metric, strategy)[0] for d in deltas]
+            return list(pool.map(lambda d: greedy_net(cloud, d, metric)[0], deltas))
+    return [greedy_net(cloud, d, metric)[0] for d in deltas]
 
 
 def estimate_dimension(counts: list[NetCount], metric: MetricKind = MetricKind.EUCLIDEAN,

@@ -6,9 +6,11 @@ c_R = 3(1+R) on its Euclidean half. Write q = p*u with rho = |p_h| <= R and
 so d_E(p, q) <= r*sqrt(1 + (r + 2*rho)^2) <= 2(1+R)*r <= c_R*r.
 """
 
+import json
 import math
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,25 +135,18 @@ def test_criterion_5_dimension_estimates(fs_clouds):
     qh = hsquare_cloud(7)
 
     dyadic = [2.0**-j for j in range(2, 9)]
-    est = {
-        "xseg": (
-            estimate_dimension(net_counts(xseg, dyadic, E), metric=E),
-            estimate_dimension(net_counts(xseg, dyadic, H), metric=H),
-        ),
-        "tseg": (
-            estimate_dimension(net_counts(tseg, dyadic, E), metric=E),
-            estimate_dimension(net_counts(tseg, np.geomspace(0.5, 0.0625, 8), H), metric=H),
-        ),
-        "cantor": (
-            estimate_dimension(net_counts(cantor, [4.0**-j for j in range(1, 6)], E), metric=E),
-            estimate_dimension(net_counts(cantor, [2.0**-j for j in range(1, 6)], H), metric=H),
-        ),
-        "fs": (
-            estimate_dimension(net_counts(fs, np.geomspace(0.3, 0.02, 8), E), metric=E),
-            estimate_dimension(net_counts(fs, np.geomspace(0.8, 0.1, 8), H), metric=H),
-        ),
+    counts = {
+        "xseg": (net_counts(xseg, dyadic, E), net_counts(xseg, dyadic, H)),
+        "tseg": (net_counts(tseg, dyadic, E), net_counts(tseg, np.geomspace(0.5, 0.0625, 8), H)),
+        "cantor": (net_counts(cantor, [4.0**-j for j in range(1, 6)], E),
+                   net_counts(cantor, [2.0**-j for j in range(1, 6)], H)),
+        "fs": (net_counts(fs, np.geomspace(0.3, 0.02, 8), E),
+               net_counts(fs, np.geomspace(0.8, 0.1, 8), H)),
     }
-    qh_h = estimate_dimension(net_counts(qh, np.geomspace(0.64, 0.08, 8), H), metric=H)
+    est = {name: (estimate_dimension(ce, metric=E), estimate_dimension(ch, metric=H))
+           for name, (ce, ch) in counts.items()}
+    qh_counts = net_counts(qh, np.geomspace(0.64, 0.08, 8), H)
+    qh_h = estimate_dimension(qh_counts, metric=H)
     elapsed = time.perf_counter() - t0
 
     targets = {
@@ -181,6 +176,12 @@ def test_criterion_5_dimension_estimates(fs_clouds):
         assert check_dimension_inequalities(ee.slope, eh.slope, tol=0.1).ok, name
     assert abs(qh_h.slope - 2.0) <= 0.2
     assert elapsed <= 600
+    # exact net counts, recorded once and never regenerated to absorb a change
+    golden = json.loads((Path(__file__).parent / "golden_net_counts.json").read_text())
+    observed = {name: {"E": [c.count for c in ce], "H": [c.count for c in ch]}
+                for name, (ce, ch) in counts.items()}
+    observed["hsquare"] = {"H": [c.count for c in qh_counts]}
+    assert observed == golden
 
 
 def test_criterion_6_ball_sandwich_as_stated():

@@ -218,3 +218,37 @@ def test_threads_env_cap(tmp_path, monkeypatch):
     est = tmp_path / "e.json"
     assert run("dimension", "--in", cloud_path, "--metric", "euclidean",
                "--delta-min", "0.05", "--delta-max", "0.4", "--out", est) == 0
+
+
+def test_dimension_header_only_csv_exits_2(tmp_path, capsys):
+    cloud_path = tmp_path / "c.csv"
+    run("construct", "--set", "cantor", "--d", "0.5", "--depth", "3", "--out", cloud_path)
+    cloud_path.write_text("x,y,t,weight\n")
+    capsys.readouterr()
+    code = run("dimension", "--in", cloud_path, "--metric", "euclidean",
+               "--delta-min", "0.05", "--delta-max", "0.4", "--out", tmp_path / "e.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no data rows" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys, value):
+    cloud_path = tmp_path / "xseg.csv"
+    run("construct", "--set", "xseg", "--points", "256", "--out", cloud_path)
+    monkeypatch.setenv("HEISLAB_THREADS", value)
+    capsys.readouterr()
+    code = run("dimension", "--in", cloud_path, "--metric", "euclidean",
+               "--delta-min", "0.05", "--delta-max", "0.4", "--out", tmp_path / "e.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "HEISLAB_THREADS" in err
+
+
+def test_dimension_lattice_resource_limit_exits_3(tmp_path, capsys):
+    cloud_path = tmp_path / "far.csv"
+    cloud_path.write_text("x,y,t,weight\n0.0,0.0,0.0,0.5\n1e10,0.0,0.0,0.5\n")
+    code = run("dimension", "--in", cloud_path, "--metric", "euclidean",
+               "--delta-min", "1e-7", "--delta-max", "1e-6", "--out", tmp_path / "e.json")
+    assert code == 3
+    assert capsys.readouterr().err.count("\n") == 1

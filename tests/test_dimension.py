@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heislab.constructions import WeightedCloud, cantor_cloud, segment_cloud
+from heislab.constructions import ResourceLimitError, WeightedCloud, cantor_cloud, segment_cloud
 from heislab.dimension import (
     NetCount,
+    _pair_dist,
     check_dimension_inequalities,
     compare_on_pairs,
     estimate_dimension,
@@ -89,16 +90,73 @@ def _pt(row):
     return Point(float(row[0]), float(row[1]), float(row[2]))
 
 
-def test_hash_and_scan_agree():
+def _brute_net(points, delta, metric):
+    """Shrinking sweep: the first uncovered point in stored order becomes a
+    center and covers everything within delta."""
+    alive = np.arange(points.shape[0])
+    centers = []
+    while alive.size:
+        c = alive[0]
+        centers.append(int(c))
+        d = _pair_dist(points, alive, points[c], metric)
+        alive = alive[d > delta]
+    return np.asarray(centers, dtype=np.int64)
+
+
+def _assert_oracle_centers(cloud, deltas):
+    for metric in (E, H):
+        for delta in deltas:
+            _, centers = greedy_net(cloud, delta, metric)
+            assert np.array_equal(centers, _brute_net(cloud.points, delta, metric)), (metric, delta)
+
+
+def test_lattice_net_matches_brute_force_oracle():
     rng = np.random.Generator(np.random.Philox(key=np.uint64(21)))
-    for n, spread in ((400, 1.0), (800, 0.2)):
+    # the last cloud is wide: its horizontal bound is far above every delta
+    for n, spread in ((400, 1.0), (800, 0.2), (600, 5.0)):
         pts = rng.uniform(-spread, spread, size=(n, 3))
-        cloud = _cloud_from_points(pts)
-        for metric in (E, H):
-            for delta in (0.5, 0.21, 0.09):
-                _, a = greedy_net(cloud, delta, metric, strategy="scan")
-                _, b = greedy_net(cloud, delta, metric, strategy="hash")
-                assert np.array_equal(a, b)
+        _assert_oracle_centers(_cloud_from_points(pts), (0.5, 0.21, 0.09))
+    _assert_oracle_centers(segment_cloud("t", 0.0, 1.0, 500), (0.5, 0.21, 0.09))
+    _assert_oracle_centers(_cloud_from_points([[0.5, -0.25, 0.5]] * 9), (1.0, 0.09))
+    dyadic = [2.0**-j for j in range(1, 8)]
+    _assert_oracle_centers(segment_cloud("x", 0.0, 1.0, 1025), dyadic)
+    _assert_oracle_centers(cantor_cloud(0.5, 7), dyadic)
+
+
+def test_lattice_net_survives_large_spans():
+    # column indices span about 2e13 here: a product of per-axis spans
+    # would wrap int64, so columns are ranked per axis instead
+    delta = 1e-7
+    pts = [[3e6 * delta + 0.2 * delta, 0.3, 0.3], [3e6 * delta - 0.2 * delta, 0.3, 0.3],
+           [1e6, 1e6, 1e6], [-1e6, -1e6, -1e6]]
+    cloud = _cloud_from_points(pts)
+    assert greedy_net(cloud, delta, E)[0].count == 3
+    assert greedy_net(cloud, delta, H)[0].count == 4
+
+
+def test_lattice_net_rounding_edges():
+    # 0.15 / 0.05 rounds below 3 and 0.25 / 0.05 to 5, so floor puts the
+    # first and last point three columns of width delta/2 apart (with a point
+    # in each column between), yet they are delta apart
+    cloud = _cloud_from_points([[0.15, 0, 0], [0.175, 0, 0], [0.225, 0, 0], [0.25, 0, 0]])
+    assert _brute_net(cloud.points, 0.1, H).size == 1
+    assert greedy_net(cloud, 0.1, H)[0].count == 1
+    # keys taken relative to t = -1e6 round the first two points' t-gap up past delta
+    cloud = _cloud_from_points([[0, 0, 1000000.2697867138], [0, 0, 1000000.2697868136],
+                                [0, 0, -1e6]])
+    assert _brute_net(cloud.points, 1e-7, E).size == 2
+    assert greedy_net(cloud, 1e-7, E)[0].count == 2
+
+
+def test_greedy_net_rejects_bad_coordinates():
+    cloud = _cloud_from_points([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    cloud.points[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        greedy_net(cloud, 0.5, E)
+    far = _cloud_from_points([[0.0, 0.0, 0.0], [1e10, 0.0, 0.0]])
+    for metric in (E, H):
+        with pytest.raises(ResourceLimitError):
+            greedy_net(far, 1e-7, metric)
 
 
 def test_net_counts_validation_and_monotonicity():
