@@ -201,6 +201,10 @@ def cmd_density(args) -> int:
             return USAGE_ERROR
         cantor = load_cloud(args.cantor_in)
         d = float(cloud.source["d"])
+        if cantor.source.get("kind") != "cantor" or cantor.source.get("d") != d:
+            print(f"error: --cantor-in needs a cantor cloud with d={d}, got {cantor.source}",
+                  file=sys.stderr)
+            return USAGE_ERROR
         if radii is None:
             radii = list(np.geomspace(5.0, 0.05, 17))
         result = ex3_probe(d, 0, 0, radii, base_count=args.base_count, seed=args.seed,
@@ -274,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cantor-depth", type=int, default=6)
     c.add_argument("--samples-per-rect", type=int, default=1)
     c.add_argument("--points", type=int, default=4096)
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.add_argument("--svg")
     c.set_defaults(func=cmd_construct)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hgeom import ORIGIN, Point, dilate_many, group_mul, group_mul_many, dilate
+from .hgeom import ORIGIN, Point, dilate, dilate_many, group_mul, group_mul_many
 
 MAX_POINTS = 10**7
 
@@ -23,51 +23,26 @@ class ResourceLimitError(Exception):
     lattice would need column indices beyond 2**52."""
 
 
-@dataclass(frozen=True, slots=True)
-class Rect2:
-    """Axis-aligned rectangle [a, b] x [c, d] in the (x, t) chart of {y = 0}."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if not (self.a < self.b and self.c < self.d):
-            raise ValueError(f"degenerate rectangle [{self.a},{self.b}]x[{self.c},{self.d}]")
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
-    @property
-    def height(self) -> float:
-        return self.d - self.c
-
-    def center(self) -> Point:
-        return Point(0.5 * (self.a + self.b), 0.0, 0.5 * (self.c + self.d))
-
-    def contains(self, other: "Rect2") -> bool:
-        return self.a <= other.a and other.b <= self.b and self.c <= other.c and other.d <= self.d
-
-
 @dataclass(slots=True)
 class RectFamily:
-    """One generation of the rectangle construction: all rects share side lengths h x v."""
+    """One generation of the rectangle construction: an (n, 4) array of rows
+    [a, b, c, d], the rectangles [a, b] x [c, d] in the (x, t) chart of {y = 0},
+    all with side lengths h x v."""
 
     level: int
-    rects: list[Rect2]
+    rects: np.ndarray
     h: float
     v: float
 
     def __post_init__(self):
-        for r in self.rects:
-            if r.width != self.h or r.height != self.v:
+        self.rects = np.asarray(self.rects, dtype=float).reshape(-1, 4)
+        a, b, c, d = self.rects.T
+        if not ((a < b) & (c < d)).all():
+            raise ValueError("degenerate rectangle in the family")
+        # a side computed as (c + v) - c is v up to half an ulp of the coordinates
+        for lo, hi, side in ((a, b, self.h), (c, d, self.v)):
+            if (np.abs(hi - lo - side) > 4.0 * np.spacing(np.maximum(abs(lo), abs(hi)))).any():
                 raise ValueError("rectangle side lengths disagree with the family's h, v")
-
-    def as_array(self) -> np.ndarray:
-        """(n, 4) array of [a, b, c, d] rows."""
-        return np.array([[r.a, r.b, r.c, r.d] for r in self.rects], dtype=float)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +51,8 @@ class Example1:
     n_k = 2^(2^(k-1) - 1), lambda_k = 2^(-3 * 2^(k-1)); level 0 is the
     half-split of the unit square, giving h_k = 2^(-2^k)."""
 
-    def base(self) -> list[Rect2]:
-        return subdivide_rect(Rect2(0.0, 1.0, 0.0, 1.0), 1, 0.5)
+    def base(self) -> np.ndarray:
+        return subdivide_rect([0.0, 1.0, 0.0, 1.0], 1, 0.5)
 
     def schedule(self, k: int) -> tuple[int, float]:
         return 2 ** (2 ** (k - 1) - 1), 2.0 ** (-3 * 2 ** (k - 1))
@@ -99,8 +74,8 @@ class Example2:
         if not (self.M > 1.0 and math.isfinite(self.M)):
             raise ValueError(f"M must be finite and > 1, got {self.M}")
 
-    def base(self) -> list[Rect2]:
-        return [Rect2(0.0, 1.0, 0.0, 1.0)]
+    def base(self) -> np.ndarray:
+        return np.array([[0.0, 1.0, 0.0, 1.0]])
 
     def schedule(self, k: int) -> tuple[int, float]:
         if 2**k <= 34 * self.M:
@@ -121,28 +96,32 @@ class Example2:
 ExampleParams = Example1 | Example2
 
 
-def subdivide_rect(rect: Rect2, n: int, lam: float) -> list[Rect2]:
-    """Split rect into 2n children of width (b-a)/(2n) and height lam*(b-a):
-    n along the bottom edge at even offsets, n along the top edge at odd offsets."""
+def subdivide_rect(rects: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """Split each row [a, b, c, d] of rects into 2n children of width (b-a)/(2n)
+    and height lam*(b-a): n along the bottom edge at even offsets, then n along
+    the top edge at odd offsets. Children stay grouped by parent, in row order."""
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     if not (0.0 < lam <= 0.5):
         raise ValueError(f"lambda must lie in (0, 1/2], got {lam}")
-    w = rect.width
+    rects = np.asarray(rects, dtype=float).reshape(-1, 4)
+    a, b, c, d = rects.T
+    w = b - a
     child_h = lam * w
-    if child_h > rect.height:
-        raise ValueError(
-            f"children of height {child_h} do not fit inside a rectangle of height {rect.height}"
-        )
-    step = w / (2 * n)
-    out = []
-    for i in range(n):
-        x0 = rect.a + 2 * i * step
-        out.append(Rect2(x0, x0 + step, rect.c, rect.c + child_h))
-    for i in range(n):
-        x0 = rect.a + (2 * i + 1) * step
-        out.append(Rect2(x0, x0 + step, rect.d - child_h, rect.d))
-    return out
+    tall = child_h > d - c
+    if tall.any():
+        i = int(tall.argmax())
+        raise ValueError(f"children of height {child_h[i]} do not fit inside "
+                         f"a rectangle of height {d[i] - c[i]}")
+    step = (w / (2 * n))[:, None]
+    x0 = a[:, None] + np.r_[0:2 * n:2, 1:2 * n:2] * step
+    low = np.arange(2 * n) < n
+    out = np.empty((rects.shape[0], 2 * n, 4))
+    out[:, :, 0] = x0
+    out[:, :, 1] = x0 + step
+    out[:, :, 2] = np.where(low, c[:, None], (d - child_h)[:, None])
+    out[:, :, 3] = np.where(low, (c + child_h)[:, None], d[:, None])
+    return out.reshape(-1, 4)
 
 
 def _family_size(params: ExampleParams, k: int) -> int:
@@ -163,21 +142,17 @@ def build_family(params: ExampleParams, k: int) -> RectFamily:
             f"level {k} would need {size} rectangles (limit {MAX_POINTS})"
         )
     rects = params.base()
-    h = rects[0].width
-    v = rects[0].height
     for j in range(1, k + 1):
         n, lam = params.schedule(j)
-        child_h = lam * h
-        rects = [child for r in rects for child in subdivide_rect(r, n, lam)]
-        v = child_h
-        h = h / (2 * n)
+        rects = subdivide_rect(rects, n, lam)
+    h, v = level_sides(params, k)
     return RectFamily(level=k, rects=rects, h=h, v=v)
 
 
 def level_sides(params: ExampleParams, k: int) -> tuple[float, float]:
     """Side lengths (h, v) of the level-k family without building rectangles."""
-    base = params.base()
-    h, v = base[0].width, base[0].height
+    a, b, c, d = params.base()[0]
+    h, v = float(b - a), float(d - c)
     for j in range(1, k + 1):
         n, lam = params.schedule(j)
         v = lam * h
@@ -234,7 +209,7 @@ def family_cloud(family: RectFamily, samples_per_rect: int, kind: str = "rects",
     weight h / samples_per_rect so a rectangle's mass is exactly h."""
     if samples_per_rect < 1:
         raise ValueError(f"samples_per_rect must be >= 1, got {samples_per_rect}")
-    arr = family.as_array()
+    arr = family.rects
     n = arr.shape[0]
     m = samples_per_rect
     if n * m > MAX_POINTS:
@@ -520,7 +495,10 @@ def load_cloud(path) -> WeightedCloud:
             rows.append([float(v) for v in row])
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    try:
+        data = np.asarray(rows, dtype=float).reshape(len(rows), 4)
+    except ValueError:
+        raise ValueError(f"{path}: every row must have 4 fields") from None
     mpath = sidecar_path(path)
     if mpath.exists():
         meta = json.loads(mpath.read_text())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constructions import ResourceLimitError, WeightedCloud
-from .hgeom import MetricKind, beta_minus, beta_plus, dist_pairs
+from .hgeom import MetricKind, beta_minus, beta_plus, dist_pairs, row_dist
 
 _CHUNK = 4096  # covered flags read per step while the cursor seeks the next center
 _EPS = float(np.finfo(float).eps)
@@ -52,18 +52,6 @@ def worker_count() -> int:
     if env and not (env.strip().isdecimal() and int(env) >= 1):
         raise ValueError(f"HEISLAB_THREADS must be a positive integer, got {env!r}")
     return int(env) if env else os.cpu_count() or 1
-
-
-def _pair_dist(points: np.ndarray, idx: np.ndarray, q: np.ndarray, metric: MetricKind) -> np.ndarray:
-    sub = points.take(idx, axis=0)
-    dx = sub[:, 0] - q[0]
-    dy = sub[:, 1] - q[1]
-    if metric is MetricKind.EUCLIDEAN:
-        dt = sub[:, 2] - q[2]
-        return np.sqrt(dx * dx + dy * dy + dt * dt)
-    horiz = dx * dx + dy * dy
-    tw = sub[:, 2] - q[2] - 2.0 * (q[0] * sub[:, 1] - sub[:, 0] * q[1])
-    return (horiz * horiz + tw * tw) ** 0.25
 
 
 def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[NetCount, np.ndarray]:
@@ -141,7 +129,7 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
         b = base[nb]
         first, last = key.searchsorted(b + lo).tolist(), key.searchsorted(b + hi, "right").tolist()
         idx = np.concatenate([order[a:e] for a, e in zip(first, last)])
-        covered[idx[_pair_dist(points, idx, q, metric) <= delta]] = True
+        covered[idx[row_dist(points.take(idx, axis=0), q, metric) <= delta]] = True
         covered[c] = True  # the sweep advances even if rounding ever left c out of its window
     return NetCount(delta=delta, count=len(centers)), np.asarray(centers, dtype=np.int64)
 

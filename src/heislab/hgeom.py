@@ -91,11 +91,6 @@ def dilate(p: Point, lam: float) -> Point:
     return Point(lam * p.x, lam * p.y, lam * lam * p.t)
 
 
-def _twist(p: Point, q: Point) -> float:
-    # t - t' - 2(x'y - xy'); equals minus the residual of q against the plane at p
-    return p.t - q.t - 2.0 * (q.x * p.y - p.x * q.y)
-
-
 def dist(p: Point, q: Point, metric: MetricKind) -> float:
     """Distance between p and q in the requested metric."""
     if metric is MetricKind.EUCLIDEAN:
@@ -103,7 +98,7 @@ def dist(p: Point, q: Point, metric: MetricKind) -> float:
     dx = p.x - q.x
     dy = p.y - q.y
     horiz = dx * dx + dy * dy
-    tw = _twist(p, q)
+    tw = plane_residual(q, HorizontalPlane(p))
     return (horiz * horiz + tw * tw) ** 0.25
 
 
@@ -152,39 +147,43 @@ def as_points_array(points) -> np.ndarray:
     return a
 
 
-def dist_many(points, p: Point, metric: MetricKind) -> np.ndarray:
-    """Distances from each row of `points` to the single point p."""
-    a = as_points_array(points)
-    dx = a[:, 0] - p.x
-    dy = a[:, 1] - p.y
+def row_twist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """t - t' - 2(x'y - xy') for each row p = (x, y, t) of P against q = (x', y', t'):
+    the one point Q (shape (3,)) or the matching row of Q (shape (n, 3)). It is the
+    vertical coordinate of q^{-1} * p and, up to sign, the residual of p against the
+    horizontal plane through q."""
+    x, y, t = P[:, 0], P[:, 1], P[:, 2]
+    qx, qy, qt = Q[..., 0], Q[..., 1], Q[..., 2]
+    return t - qt - 2.0 * (qx * y - x * qy)
+
+
+def row_dist(P: np.ndarray, Q: np.ndarray, metric: MetricKind) -> np.ndarray:
+    """Distances from each row of P to Q, one point or the matching rows (as row_twist)."""
+    x, y, t = P[:, 0], P[:, 1], P[:, 2]
+    qx, qy, qt = Q[..., 0], Q[..., 1], Q[..., 2]
+    dx = x - qx
+    dy = y - qy
     if metric is MetricKind.EUCLIDEAN:
-        dt = a[:, 2] - p.t
+        dt = t - qt
         return np.sqrt(dx * dx + dy * dy + dt * dt)
     horiz = dx * dx + dy * dy
-    tw = a[:, 2] - p.t - 2.0 * (p.x * a[:, 1] - a[:, 0] * p.y)
+    tw = row_twist(P, Q)
     return (horiz * horiz + tw * tw) ** 0.25
+
+
+def dist_many(points, p: Point, metric: MetricKind) -> np.ndarray:
+    """Distances from each row of `points` to the single point p."""
+    return row_dist(as_points_array(points), p.as_array(), metric)
 
 
 def dist_pairs(P, Q, metric: MetricKind) -> np.ndarray:
     """Row-wise distances between two (n, 3) arrays."""
-    P = as_points_array(P)
-    Q = as_points_array(Q)
-    dx = P[:, 0] - Q[:, 0]
-    dy = P[:, 1] - Q[:, 1]
-    if metric is MetricKind.EUCLIDEAN:
-        dt = P[:, 2] - Q[:, 2]
-        return np.sqrt(dx * dx + dy * dy + dt * dt)
-    horiz = dx * dx + dy * dy
-    tw = P[:, 2] - Q[:, 2] - 2.0 * (Q[:, 0] * P[:, 1] - P[:, 0] * Q[:, 1])
-    return (horiz * horiz + tw * tw) ** 0.25
+    return row_dist(as_points_array(P), as_points_array(Q), metric)
 
 
 def plane_dist_many(points, plane: HorizontalPlane) -> np.ndarray:
     """Euclidean distances from each row of `points` to the plane."""
-    a = as_points_array(points)
-    b = plane.base
-    res = b.t - a[:, 2] - 2.0 * (a[:, 0] * b.y - a[:, 1] * b.x)
-    return np.abs(res) / plane.normal_scale()
+    return np.abs(row_twist(as_points_array(points), plane.base.as_array())) / plane.normal_scale()
 
 
 def group_mul_many(p: Point, points) -> np.ndarray:

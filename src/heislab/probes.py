@@ -25,7 +25,15 @@ from .constructions import (
     level_sides,
     product_cloud,
 )
-from .hgeom import HorizontalPlane, MetricKind, Point, dist_many, plane_dist_many
+from .hgeom import (
+    HorizontalPlane,
+    MetricKind,
+    Point,
+    dist_many,
+    plane_dist_many,
+    row_dist,
+    row_twist,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,21 +110,6 @@ class Fixed:
 RhoRule = PowerLaw | Linear | Quadratic | Fixed
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeConfig:
-    s: float
-    radii: tuple[float, ...]
-    rho_rule: RhoRule
-    base_points: tuple[Point, ...]
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("s must be positive")
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be strictly positive")
-
-
 @dataclass(slots=True)
 class SeriesEntry:
     r: float
@@ -144,6 +137,11 @@ class ProbeResult:
     extra: dict = field(default_factory=dict)
 
 
+def _split(weights: np.ndarray, ball: np.ndarray, near: np.ndarray) -> tuple[float, float]:
+    """Weight in the ball, split into (near the plane, clear of it)."""
+    return float(weights[ball & near].sum()), float(weights[ball & ~near].sum())
+
+
 def mass_split(cloud: WeightedCloud, p: Point, r: float, rho: float) -> tuple[float, float]:
     """Weight of cloud points in the Euclidean r-ball around p, split by whether
     their distance to the horizontal plane through p is <= rho."""
@@ -153,11 +151,7 @@ def mass_split(cloud: WeightedCloud, p: Point, r: float, rho: float) -> tuple[fl
         raise ValueError("rho must be >= 0")
     dE = dist_many(cloud.points, p, MetricKind.EUCLIDEAN)
     pd = plane_dist_many(cloud.points, HorizontalPlane(p))
-    ball = dE <= r
-    near = pd <= rho
-    inside = float(cloud.weights[ball & near].sum())
-    outside = float(cloud.weights[ball & ~near].sum())
-    return inside, outside
+    return _split(cloud.weights, dE <= r, pd <= rho)
 
 
 def density_ratio(cloud: WeightedCloud, p: Point, r: float, rho: float, s: float) -> float:
@@ -199,11 +193,8 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         series = []
         for r in radii:
             rho = rho_rule.rho(r)
-            ball = dE <= r
-            near = pd <= rho
             denom = _denominator(convention, r, s)
-            inside = float(w[ball & near].sum())
-            outside = float(w[ball & ~near].sum())
+            inside, outside = _split(w, dE <= r, pd <= rho)
             ratio = outside / denom
             series.append(SeriesEntry(r=r, inside=inside, outside=outside, ratio=ratio))
             if ratio < best_min[0]:
@@ -251,15 +242,14 @@ def thm2_scan(cloud: WeightedCloud, base_points, delta: float, radii,
 def panel_from_rects(family, count: int, x_max: float | None = None) -> list[Point]:
     """Deterministic panel of rectangle centers, evenly strided through the
     family, optionally keeping only centers with x <= x_max."""
-    centers = [r.center() for r in family.rects]
+    a, b, c, d = family.rects.T
+    x, t = 0.5 * (a + b), 0.5 * (c + d)
     if x_max is not None:
-        centers = [c for c in centers if c.x <= x_max]
-    if not centers:
+        x, t = x[x <= x_max], t[x <= x_max]
+    if not x.size:
         raise ValueError("no admissible base points")
-    if len(centers) <= count:
-        return centers
-    idx = np.unique(np.linspace(0, len(centers) - 1, count).round().astype(int))
-    return [centers[i] for i in idx]
+    idx = np.unique(np.linspace(0, x.size - 1, min(count, x.size)).round().astype(int))
+    return [Point(float(x[i]), 0.0, float(t[i])) for i in idx]
 
 
 def panel_from_cloud(cloud: WeightedCloud, count: int) -> list[Point]:
@@ -470,6 +460,7 @@ def sandwich_sample(R: float, r_values, samples: int, seed: int) -> SandwichRepo
         raise ValueError("each r must lie in (0, 1]")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    E, H = MetricKind.EUCLIDEAN, MetricKind.HEISENBERG
     inner_scale = 1.0 / math.sqrt(2.0 * (1.0 + 4.0 * R * R))
     per = [samples // len(r_values)] * len(r_values)
     for i in range(samples - sum(per)):
@@ -484,6 +475,7 @@ def sandwich_sample(R: float, r_values, samples: int, seed: int) -> SandwichRepo
         rad = R * np.sqrt(rng.random(n))
         px, py = rad * np.cos(theta), rad * np.sin(theta)
         pt = rng.uniform(-1.0, 1.0, n)
+        P = np.column_stack([px, py, pt])
         nscale = np.sqrt(1.0 + 4.0 * (px * px + py * py))
 
         # inner candidates: horizontal offset within r/2, vertical offset near the plane
@@ -491,34 +483,21 @@ def sandwich_sample(R: float, r_values, samples: int, seed: int) -> SandwichRepo
         a = (r / 2.0) * np.sqrt(rng.random(n))
         ax, ay = a * np.cos(phi), a * np.sin(phi)
         nu = rng.uniform(-r * r, r * r, n)
-        qx, qy = px + ax, py + ay
-        qt = pt + 2.0 * (px * ay - py * ax) + nu
-        dE = np.sqrt((qx - px) ** 2 + (qy - py) ** 2 + (qt - pt) ** 2)
-        res = pt - qt - 2.0 * (qx * py - qy * px)
-        pdist = np.abs(res) / nscale
-        in_inner = (dE <= r / 2.0) & (pdist <= r * r * inner_scale)
-        horiz = (qx - px) ** 2 + (qy - py) ** 2
-        tw = qt - pt - 2.0 * (px * qy - qx * py)
-        dH = (horiz * horiz + tw * tw) ** 0.25
+        Q = np.column_stack([px + ax, py + ay, pt + 2.0 * (px * ay - py * ax) + nu])
+        pdist = np.abs(row_twist(P, Q)) / nscale
+        in_inner = (row_dist(Q, P, E) <= r / 2.0) & (pdist <= r * r * inner_scale)
         rep.inner_hits += int(in_inner.sum())
-        rep.inner_violations += int((in_inner & (dH > r)).sum())
+        rep.inner_violations += int((in_inner & (row_dist(Q, P, H) > r)).sum())
 
         # outer candidates: p * (disc of radius r, vertical within r^2), covers B_H(p, r)
         phi = rng.uniform(0.0, 2.0 * math.pi, n)
         a = r * np.sqrt(rng.random(n))
         ux, uy = a * np.cos(phi), a * np.sin(phi)
         tau = rng.uniform(-r * r, r * r, n)
-        qx, qy = px + ux, py + uy
-        qt = pt + tau + 2.0 * (px * uy - ux * py)
-        horiz = (qx - px) ** 2 + (qy - py) ** 2
-        tw = qt - pt - 2.0 * (px * qy - qx * py)
-        dH = (horiz * horiz + tw * tw) ** 0.25
-        in_ball = dH <= r
-        res = pt - qt - 2.0 * (qx * py - qy * px)
-        pdist = np.abs(res) / nscale
-        dE = np.sqrt((qx - px) ** 2 + (qy - py) ** 2 + (qt - pt) ** 2)
-        plane_bad = in_ball & (pdist > r * r)
-        ball_bad = in_ball & (dE > r)
+        Q = np.column_stack([px + ux, py + uy, pt + tau + 2.0 * (px * uy - ux * py)])
+        in_ball = row_dist(Q, P, H) <= r
+        plane_bad = in_ball & (np.abs(row_twist(P, Q)) / nscale > r * r)
+        ball_bad = in_ball & (row_dist(Q, P, E) > r)
         rep.outer_hits += int(in_ball.sum())
         rep.outer_plane_violations += int(plane_bad.sum())
         rep.outer_ball_violations += int(ball_bad.sum())

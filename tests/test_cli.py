@@ -34,6 +34,13 @@ def test_construct_cantor(tmp_path):
     assert (cloud.points[:, :2] == 0).all()
 
 
+def test_construct_ex2_off_dyadic_M(tmp_path):
+    # rectangle sides carry rounding of up to half an ulp of their coordinates
+    for M, level in (("7.3", "12"), ("1.1", "9")):
+        assert run("construct", "--set", "ex2", "--M", M, "--level", level,
+                   "--out", tmp_path / "x.csv") == 0
+
+
 def test_construct_ex2_rejects_shallow_level(tmp_path, capsys):
     code = run("construct", "--set", "ex2", "--level", "1", "--M", "2",
                "--out", tmp_path / "x.csv")
@@ -152,6 +159,23 @@ def test_density_ex3_with_cantor_input(tmp_path):
                "--cantor-in", cantor_path, "--out", out) == 2
 
 
+@pytest.mark.parametrize("construct", [
+    ("--set", "cantor", "--d", "0.3", "--depth", "5"),
+    ("--set", "hsquare", "--depth", "3"),
+])
+def test_density_ex3_rejects_wrong_cantor_input(tmp_path, capsys, construct):
+    fs_path, other = tmp_path / "fs.csv", tmp_path / "other.csv"
+    run("construct", "--set", "fs", "--d", "0.5", "--depth", "3", "--cantor-depth", "4",
+        "--out", fs_path)
+    run("construct", *construct, "--out", other)
+    capsys.readouterr()
+    code = run("density", "--in", fs_path, "--probe", "ex3", "--cantor-in", other,
+               "--out", tmp_path / "probe.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--cantor-in" in err
+
+
 def test_sandwich_command_outer_defect(tmp_path):
     out = tmp_path / "s.json"
     code = run("sandwich", "--R", "2", "--samples", "20000", "--seed", "1", "--out", out)
@@ -220,16 +244,23 @@ def test_threads_env_cap(tmp_path, monkeypatch):
                "--delta-min", "0.05", "--delta-max", "0.4", "--out", est) == 0
 
 
-def test_dimension_header_only_csv_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("rows, message", [
+    ("", "no data rows"),
+    ("0,0,0.5,0.5\n0,0,1\n", "4 fields"),
+    ("0,0,0.5\n0,0,1\n", "4 fields"),
+    ("0,0,0.5,0.5,9\n0,0,1,0.5,9\n", "4 fields"),
+    ("0,0,nan,0.5\n0,0,1,0.5\n", "non-finite"),
+], ids=["header-only", "ragged", "3-field", "5-field", "nan"])
+def test_dimension_header_only_csv_exits_2(tmp_path, capsys, rows, message):
     cloud_path = tmp_path / "c.csv"
     run("construct", "--set", "cantor", "--d", "0.5", "--depth", "3", "--out", cloud_path)
-    cloud_path.write_text("x,y,t,weight\n")
+    cloud_path.write_text("x,y,t,weight\n" + rows)
     capsys.readouterr()
     code = run("dimension", "--in", cloud_path, "--metric", "euclidean",
                "--delta-min", "0.05", "--delta-max", "0.4", "--out", tmp_path / "e.json")
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "no data rows" in err
+    assert err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])

@@ -9,7 +9,7 @@ from heislab.constructions import (
     AxisContraction,
     Example1,
     Example2,
-    Rect2,
+    RectFamily,
     ResourceLimitError,
     build_family,
     cantor_cloud,
@@ -27,52 +27,70 @@ from heislab.constructions import (
     subdivide_rect,
 )
 from heislab.hgeom import ORIGIN, MetricKind, Point, dist
+from heislab.probes import ex2_probe
 
 H = MetricKind.HEISENBERG
 
 
+UNIT = np.array([[0.0, 1.0, 0.0, 1.0]])
+
+
+def _contains(outer, inner):
+    """Row-wise [a, b] x [c, d] containment of inner in outer."""
+    return ((outer[..., 0] <= inner[..., 0]) & (inner[..., 1] <= outer[..., 1])
+            & (outer[..., 2] <= inner[..., 2]) & (inner[..., 3] <= outer[..., 3]))
+
+
 def test_subdivide_unit_square_single():
-    got = subdivide_rect(Rect2(0, 1, 0, 1), 1, 0.5)
-    assert got == [Rect2(0, 0.5, 0, 0.5), Rect2(0.5, 1, 0.5, 1)]
+    got = subdivide_rect(UNIT, 1, 0.5)
+    assert np.array_equal(got, [[0, 0.5, 0, 0.5], [0.5, 1, 0.5, 1]])
 
 
 def test_subdivide_unit_square_two_columns():
-    got = subdivide_rect(Rect2(0, 1, 0, 1), 2, 0.25)
-    assert got == [
-        Rect2(0, 0.25, 0, 0.25),
-        Rect2(0.5, 0.75, 0, 0.25),
-        Rect2(0.25, 0.5, 0.75, 1),
-        Rect2(0.75, 1, 0.75, 1),
-    ]
+    got = subdivide_rect(UNIT, 2, 0.25)
+    assert np.array_equal(got, [
+        [0, 0.25, 0, 0.25],
+        [0.5, 0.75, 0, 0.25],
+        [0.25, 0.5, 0.75, 1],
+        [0.75, 1, 0.75, 1],
+    ])
 
 
 @given(st.integers(min_value=1, max_value=8), st.floats(min_value=0.01, max_value=0.5))
 def test_subdivide_counts_and_widths(n, lam):
-    rect = Rect2(0, 1, 0, 1)
-    children = subdivide_rect(rect, n, lam)
-    assert len(children) == 2 * n
+    children = subdivide_rect(UNIT, n, lam)
+    assert children.shape == (2 * n, 4)
     for ch in children:
-        assert math.isclose(ch.width, 1.0 / (2 * n), rel_tol=1e-12)
-        assert math.isclose(ch.height, lam, rel_tol=1e-12)
-        assert rect.contains(ch)
+        assert math.isclose(ch[1] - ch[0], 1.0 / (2 * n), rel_tol=1e-12)
+        assert math.isclose(ch[3] - ch[2], lam, rel_tol=1e-12)
+        assert _contains(UNIT[0], ch)
+
+
+def test_subdivide_splits_every_row_in_order():
+    rects = np.array([[0.0, 1.0, 0.0, 1.0], [2.0, 4.0, -1.0, 3.0]])
+    got = subdivide_rect(rects, 2, 0.25)
+    for i, rect in enumerate(rects):
+        assert np.array_equal(got[4 * i:4 * i + 4], subdivide_rect(rect, 2, 0.25))
 
 
 def test_subdivide_rejects_tall_children():
     with pytest.raises(ValueError):
-        subdivide_rect(Rect2(0, 10, 0, 1), 1, 0.5)  # lam*(b-a) = 5 > 1
+        subdivide_rect([0, 10, 0, 1], 1, 0.5)  # lam*(b-a) = 5 > 1
 
 
 def test_rect_validation():
     with pytest.raises(ValueError):
-        Rect2(1, 0, 0, 1)
+        RectFamily(level=0, rects=[[1, 0, 0, 1]], h=-1.0, v=1.0)
     with pytest.raises(ValueError):
-        Rect2(0, 1, 1, 1)
+        RectFamily(level=0, rects=[[0, 1, 1, 1]], h=1.0, v=0.0)
+    with pytest.raises(ValueError):
+        RectFamily(level=0, rects=[[0, 1, 0, 1], [0, 1, 0, 0.5]], h=1.0, v=1.0)
 
 
 def test_alternating_family_closed_forms():
     params = Example1()
     fam0 = build_family(params, 0)
-    assert len(fam0.rects) == 2 and fam0.h == 0.5 and fam0.v == 0.5
+    assert fam0.rects.shape == (2, 4) and fam0.h == 0.5 and fam0.v == 0.5
     for k in (1, 2, 3):
         h, v = level_sides(params, k)
         assert h == 2.0 ** -(2**k)
@@ -85,23 +103,22 @@ def test_alternating_family_closed_forms():
 
 def test_alternating_family_counts():
     fam = build_family(Example1(), 3)
-    assert len(fam.rects) == 256
-    assert len(build_family(Example1(), 1).rects) == 4
+    assert fam.rects.shape == (256, 4)
+    assert build_family(Example1(), 1).rects.shape == (4, 4)
 
 
 def test_family_nesting_and_disjointness():
     parent = build_family(Example1(), 2)
     child = build_family(Example1(), 3)
     for ch in child.rects[:64]:
-        holders = [r for r in parent.rects if r.contains(ch)]
-        assert len(holders) == 1
+        assert _contains(parent.rects, ch).sum() == 1
     # pairwise disjoint interiors at level 2
     rects = parent.rects
     for i in range(len(rects)):
         for j in range(i + 1, len(rects)):
             a, b = rects[i], rects[j]
-            overlap_x = min(a.b, b.b) - max(a.a, b.a)
-            overlap_t = min(a.d, b.d) - max(a.c, b.c)
+            overlap_x = min(a[1], b[1]) - max(a[0], b[0])
+            overlap_t = min(a[3], b[3]) - max(a[2], b[2])
             assert overlap_x <= 0 or overlap_t <= 0
 
 
@@ -127,11 +144,25 @@ def test_flat_family_children_gap():
     parent_fam = build_family(params, k)
     child_fam = build_family(params, k + 1)
     parent = parent_fam.rects[0]
-    kids = [ch for ch in child_fam.rects if parent.contains(ch)]
+    kids = child_fam.rects[_contains(parent, child_fam.rects)]
     assert len(kids) == 2
-    low, high = sorted(kids, key=lambda r: r.c)
-    gap = high.c - low.d
+    low, high = sorted(kids, key=lambda r: r[2])
+    gap = high[2] - low[3]
     assert gap == 17 * M * 4.0**-k
+
+
+@pytest.mark.parametrize("M", [1.1, 7.3])
+def test_flat_family_sides_within_rounding(M):
+    # past the switch, (c + v) - c misses v by up to half an ulp of c for
+    # these M; the families must still build, as deep as the ex2 probe needs
+    params = Example2(M)
+    for k in range(13):
+        fam = build_family(params, k)
+        assert (fam.h, fam.v) == level_sides(params, k)
+        assert fam.rects.shape == (2**k, 4)
+        heights = fam.rects[:, 3] - fam.rects[:, 2]
+        assert np.abs(heights - fam.v).max() <= 0.5 * np.spacing(1.0)
+    assert ex2_probe(M, 11).summary["min_ratio"] > 0
 
 
 def test_flat_family_m_must_exceed_one():

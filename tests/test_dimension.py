@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from heislab.constructions import ResourceLimitError, WeightedCloud, cantor_cloud, segment_cloud
 from heislab.dimension import (
     NetCount,
-    _pair_dist,
     check_dimension_inequalities,
     compare_on_pairs,
     estimate_dimension,
@@ -18,7 +17,7 @@ from heislab.dimension import (
     greedy_net,
     net_counts,
 )
-from heislab.hgeom import MetricKind, dist_many
+from heislab.hgeom import MetricKind, dist_many, row_dist
 
 E = MetricKind.EUCLIDEAN
 H = MetricKind.HEISENBERG
@@ -98,7 +97,7 @@ def _brute_net(points, delta, metric):
     while alive.size:
         c = alive[0]
         centers.append(int(c))
-        d = _pair_dist(points, alive, points[c], metric)
+        d = row_dist(points[alive], points[c], metric)
         alive = alive[d > delta]
     return np.asarray(centers, dtype=np.int64)
 
@@ -274,7 +273,7 @@ def test_euclidean_counts_below_gauge_counts_on_vertical_plane_cloud():
     from heislab.hgeom import dist_pairs
 
     fam = build_family(Example1(), 2)
-    sub = [r for r in fam.rects if r.a < 0.25]
+    sub = fam.rects[fam.rects[:, 0] < 0.25]
     fam_small = type(fam)(level=fam.level, rects=sub, h=fam.h, v=fam.v)
     cloud = family_cloud(fam_small, 2, kind="ex1")
     cloud = WeightedCloud(points=cloud.points, weights=cloud.weights,

@@ -19,6 +19,7 @@ from heislab.hgeom import (
     group_inv,
     group_mul,
     in_neighborhood,
+    plane_dist_many,
     plane_residual,
 )
 
@@ -242,3 +243,15 @@ def test_vectorized_forms_match_scalar():
         q = Point.from_array(pts[i])
         assert dm_e[i] == dist(q, p, E) or math.isclose(dm_e[i], dist(q, p, E), rel_tol=1e-15)
         assert math.isclose(dm_h[i], dist(q, p, H), rel_tol=1e-12)
+    others = rng.uniform(-2, 2, size=(64, 3))
+    dp_e = dist_pairs(pts, others, E)
+    dp_h = dist_pairs(pts, others, H)
+    for i in range(64):
+        q, o = Point.from_array(pts[i]), Point.from_array(others[i])
+        assert dp_e[i] == dist(q, o, E) or math.isclose(dp_e[i], dist(q, o, E), rel_tol=1e-15)
+        assert math.isclose(dp_h[i], dist(q, o, H), rel_tol=1e-12)
+    for base in (p, ORIGIN, Point(-1.7, 1.1, -0.4)):
+        plane = HorizontalPlane(base)
+        pd = plane_dist_many(pts, plane)
+        for i in range(64):
+            assert pd[i] == dist_to_plane(Point.from_array(pts[i]), plane)

@@ -229,17 +229,6 @@ def test_rho_rules():
         Quadratic(0.5)
 
 
-def test_probe_config_validation():
-    from heislab.probes import ProbeConfig
-
-    cfg = ProbeConfig(s=1.0, radii=(0.2, 0.1), rho_rule=Linear(0.25), base_points=(O,))
-    assert cfg.seed == 0
-    with pytest.raises(ValueError):
-        ProbeConfig(s=0.0, radii=(0.1,), rho_rule=Linear(0.25), base_points=(O,))
-    with pytest.raises(ValueError):
-        ProbeConfig(s=1.0, radii=(0.1, -0.2), rho_rule=Linear(0.25), base_points=(O,))
-
-
 def test_sandwich_direct_examples():
     # direct membership evaluations of the two-sided comparison
     p, r = O, 1.0
@@ -259,8 +248,8 @@ def test_sandwich_sampler_inner_and_plane_clean():
     rep = sandwich_sample(2.0, (1.0, 0.3, 0.1), 30_000, seed=1)
     assert rep.inner_violations == 0
     assert rep.outer_plane_violations == 0
-    assert rep.inner_hits > 100
-    assert rep.outer_hits > 1000
+    # exact seed-1 counts: a change to the draw order or to a distance formula moves them
+    assert (rep.inner_hits, rep.outer_hits, rep.outer_ball_violations) == (5203, 23666, 13337)
     # deterministic for a fixed seed
     again = sandwich_sample(2.0, (1.0, 0.3, 0.1), 30_000, seed=1)
     assert sandwich_report_to_dict(again) == sandwich_report_to_dict(rep)
