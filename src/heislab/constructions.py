@@ -192,6 +192,9 @@ class WeightedCloud:
             raise ValueError("non-finite cloud data")
         if (self.weights < 0).any():
             raise ValueError("weights must be nonnegative")
+        if not (0.0 <= self.err_xy < math.inf and 0.0 <= self.err_t < math.inf):
+            raise ValueError(f"placement errors must be finite and >= 0, got "
+                             f"err_xy={self.err_xy}, err_t={self.err_t}")
         total = float(self.weights.sum())
         if abs(total - self.total_mass) > 1e-9 * max(abs(self.total_mass), 1e-300):
             raise ValueError(
@@ -483,6 +486,28 @@ def save_cloud(cloud: WeightedCloud, path) -> None:
     mtmp.replace(mpath)
 
 
+def _read_sidecar(mpath: Path) -> dict:
+    try:
+        meta = json.loads(mpath.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{mpath}: sidecar is not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{mpath}: sidecar must be a JSON object")
+    missing = [key for key in ("source", "level", "total_mass") if key not in meta]
+    if missing:
+        raise ValueError(f"{mpath}: sidecar lacks {', '.join(missing)}")
+    if not isinstance(meta["source"], dict):
+        raise ValueError(f"{mpath}: sidecar source must be a JSON object")
+    try:
+        meta["total_mass"], meta["level"] = float(meta["total_mass"]), int(meta["level"])
+        for key in ("err_xy", "err_t"):
+            meta[key] = float(meta.get(key) or 0.0)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{mpath}: sidecar level, total_mass, err_xy and err_t must be "
+                         f"numbers") from None
+    return meta
+
+
 def load_cloud(path) -> WeightedCloud:
     path = Path(path)
     rows = []
@@ -501,18 +526,18 @@ def load_cloud(path) -> WeightedCloud:
         raise ValueError(f"{path}: every row must have 4 fields") from None
     mpath = sidecar_path(path)
     if mpath.exists():
-        meta = json.loads(mpath.read_text())
+        meta = _read_sidecar(mpath)
     else:
         meta = {"source": {"kind": "unknown"}, "level": 0, "total_mass": float(data[:, 3].sum()),
-                "h": None, "v": None}
+                "err_xy": 0.0, "err_t": 0.0}
     return WeightedCloud(
         points=data[:, :3],
         weights=data[:, 3],
-        total_mass=float(meta["total_mass"]),
-        level=int(meta["level"]),
+        total_mass=meta["total_mass"],
+        level=meta["level"],
         source=meta["source"],
         h=meta.get("h"),
         v=meta.get("v"),
-        err_xy=float(meta.get("err_xy") or 0.0),
-        err_t=float(meta.get("err_t") or 0.0),
+        err_xy=meta["err_xy"],
+        err_t=meta["err_t"],
     )

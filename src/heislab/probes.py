@@ -173,12 +173,22 @@ def _denominator(kind: str, r: float, s: float) -> float:
 def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
                  s: float, convention: str, probe: str, seed: int = 0,
                  extra: dict | None = None) -> ProbeResult:
-    """Evaluate the density ratio on a grid of radii at each base point."""
+    """Evaluate the density ratio on a grid of radii at each base point.
+
+    The radii are visited in descending order, and each base point keeps a
+    working set of rows that shrinks to the ball as r descends: before radius
+    r it drops every row with both fl(dE - r) > e_ball and dE > fl(r + e_ball).
+    Those are the rows no mask at r can select (the ball dE <= r and the two
+    band terms), and by monotone rounding no mask at a smaller radius either,
+    so the working sets are nested and never lose a row a later radius needs.
+    Kept rows stay in cloud order, so every sum adds the same numbers in the
+    same order as on the whole cloud and the results are bit-identical; the
+    mask passes cost about the ball's share of the cloud, not all of it.
+    """
     radii = sorted((float(r) for r in radii), reverse=True)
     if not radii or radii[-1] <= 0:
         raise ValueError("radii must be a nonempty list of positive numbers")
     e_ball = cloud.placement_error
-    w = cloud.weights
     point_series: list[PointSeries] = []
     best_min = (math.inf, None, None)
     best_max = (-math.inf, None, None)
@@ -187,11 +197,15 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         plane = HorizontalPlane(p)
         dE = dist_many(cloud.points, p, MetricKind.EUCLIDEAN)
         pd = plane_dist_many(cloud.points, plane)
+        w = cloud.weights
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
         e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / plane.normal_scale()
         series = []
         for r in radii:
+            # both halves: the two float expressions disagree at the edge
+            keep = (dE - r <= e_ball) | (dE <= r + e_ball)
+            dE, pd, w = dE[keep], pd[keep], w[keep]
             rho = rho_rule.rho(r)
             denom = _denominator(convention, r, s)
             inside, outside = _split(w, dE <= r, pd <= rho)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -283,3 +286,59 @@ def test_dimension_lattice_resource_limit_exits_3(tmp_path, capsys):
                "--delta-min", "1e-7", "--delta-max", "1e-6", "--out", tmp_path / "e.json")
     assert code == 3
     assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ("{oops", "not valid JSON"),
+    ("[1, 2]", "JSON object"),
+    ('{"level": 3, "total_mass": 1.0}', "lacks source"),
+    ('{"source": {"kind": "cantor"}, "total_mass": 1.0}', "lacks level"),
+    ('{"source": {"kind": "cantor"}, "level": 3}', "lacks total_mass"),
+    ('{"source": "cantor", "level": 3, "total_mass": 1.0}', "source must be"),
+    ('{"source": {"kind": "cantor"}, "level": [3], "total_mass": 1.0}', "must be numbers"),
+    ('{"source": {}, "level": 3, "total_mass": 1.0, "err_t": "x"}', "must be numbers"),
+    ('{"source": {}, "level": 1e999, "total_mass": 1.0}', "must be numbers"),
+], ids=["not-json", "list", "no-source", "no-level", "no-total-mass", "string-source",
+        "list-level", "string-err", "infinite-level"])
+def test_malformed_sidecar_exits_2(tmp_path, capsys, sidecar, message):
+    cloud_path = tmp_path / "c.csv"
+    run("construct", "--set", "cantor", "--d", "0.5", "--depth", "3", "--out", cloud_path)
+    meta_path = tmp_path / "c.meta.json"
+    meta_path.write_text(sidecar)
+    capsys.readouterr()
+    code = run("dimension", "--in", cloud_path, "--metric", "euclidean",
+               "--delta-min", "0.05", "--delta-max", "0.4", "--out", tmp_path / "e.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and str(meta_path) in err
+
+
+def test_missing_sidecar_loads_as_unknown(tmp_path, capsys):
+    cloud_path = tmp_path / "ex1.csv"
+    run("construct", "--set", "ex1", "--level", "3", "--samples-per-rect", "4",
+        "--out", cloud_path)
+    (tmp_path / "ex1.meta.json").unlink()
+    cloud = load_cloud(cloud_path)
+    assert cloud.source == {"kind": "unknown"} and cloud.placement_error == 0.0
+    assert run("dimension", "--in", cloud_path, "--metric", "euclidean",
+               "--delta-min", "0.05", "--delta-max", "0.4", "--out", tmp_path / "e.json") == 0
+    capsys.readouterr()
+    assert run("density", "--in", cloud_path, "--probe", "ex1",
+               "--out", tmp_path / "r.json") == 2
+    assert "'unknown'" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    cloud_path = tmp_path / "tseg.csv"
+    assert run("construct", "--set", "tseg", "--points", "1000", "--out", cloud_path) == 0
+    out = tmp_path / "thm2.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "heislab", "density", "--in", str(cloud_path), "--probe", "thm2",
+         "--radii", "0.1", "--base-point", "0,0,0", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "max ratio" in proc.stdout
+    assert json.loads(out.read_text())["probe"] == "thm2"

@@ -347,6 +347,11 @@ def test_cloud_weight_mass_consistency_enforced():
     with pytest.raises(ValueError):
         WeightedCloud(points=np.zeros((2, 3)), weights=np.array([0.5, -0.5]),
                       total_mass=0.0, level=0, source={})
+    # the density scan prunes rows by placement error, so it must be a finite bound
+    for err in ({"err_xy": math.nan}, {"err_t": math.inf}, {"err_t": -0.1}):
+        with pytest.raises(ValueError, match="placement errors"):
+            WeightedCloud(points=np.zeros((2, 3)), weights=np.array([0.5, 0.5]),
+                          total_mass=1.0, level=0, source={}, **err)
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -5,19 +5,38 @@ import pytest
 
 from heislab.constructions import (
     Example1,
+    WeightedCloud,
     build_family,
     cantor_cloud,
     family_cloud,
     hsquare_cloud,
+    load_cloud,
     product_cloud,
+    save_cloud,
     segment_cloud,
+    sidecar_path,
 )
-from heislab.hgeom import HorizontalPlane, MetricKind, Point, dist, dist_to_plane
+from heislab.hgeom import (
+    HorizontalPlane,
+    MetricKind,
+    Point,
+    dist,
+    dist_many,
+    dist_pairs,
+    dist_to_plane,
+    group_mul,
+    plane_dist_many,
+)
 from heislab.probes import (
     Fixed,
     Linear,
+    PointSeries,
     PowerLaw,
+    ProbeResult,
     Quadratic,
+    SeriesEntry,
+    _denominator,
+    _split,
     density_ratio,
     estimate_annulus_constants,
     ex1_probe,
@@ -26,6 +45,7 @@ from heislab.probes import (
     ex2_window_level,
     ex3_probe,
     mass_split,
+    panel_from_cloud,
     panel_from_rects,
     probe_result_to_dict,
     sandwich_report_to_dict,
@@ -218,6 +238,112 @@ def test_scan_density_summary_args():
     assert res.summary["argmax_r"] in (0.2, 0.1)
 
 
+def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, seed=0, extra=None):
+    """The unpruned radius loop: every mask runs on the whole cloud."""
+    radii = sorted((float(r) for r in radii), reverse=True)
+    if not radii or radii[-1] <= 0:
+        raise ValueError("radii must be a nonempty list of positive numbers")
+    e_ball = cloud.placement_error
+    w = cloud.weights
+    point_series: list[PointSeries] = []
+    best_min = (math.inf, None, None)
+    best_max = (-math.inf, None, None)
+    err = 0.0
+    for p in base_points:
+        plane = HorizontalPlane(p)
+        dE = dist_many(cloud.points, p, MetricKind.EUCLIDEAN)
+        pd = plane_dist_many(cloud.points, plane)
+        # plane distance is insensitive to horizontal placement except through
+        # the 2*y0 slope term, so the plane band uses the anisotropic bound
+        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / plane.normal_scale()
+        series = []
+        for r in radii:
+            rho = rho_rule.rho(r)
+            denom = _denominator(convention, r, s)
+            inside, outside = _split(w, dE <= r, pd <= rho)
+            ratio = outside / denom
+            series.append(SeriesEntry(r=r, inside=inside, outside=outside, ratio=ratio))
+            if ratio < best_min[0]:
+                best_min = (ratio, r, p)
+            if ratio > best_max[0]:
+                best_max = (ratio, r, p)
+            if e_ball > 0.0 or e_plane > 0.0:
+                # mass whose classification flip could change the outside term:
+                # sphere-boundary points already clear of the slab, and
+                # slab-boundary points already inside the ball
+                band = float(w[(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane)].sum())
+                band += float(w[(np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)].sum())
+                err = max(err, band / denom)
+        point_series.append(PointSeries(p=p, series=series))
+    summary = {
+        "min_ratio": best_min[0],
+        "max_ratio": best_max[0],
+        "argmin_r": best_min[1],
+        "argmax_r": best_max[1],
+    }
+    return ProbeResult(probe=probe, convention=convention, rho_rule=rho_rule, s=s,
+                       points=point_series, summary=summary, error_bound=err,
+                       seed=seed, extra=extra or {})
+
+
+def _assert_scan_matches_ref(*args):
+    got = probe_result_to_dict(scan_density(*args))
+    assert got == probe_result_to_dict(_scan_ref(*args))
+    return got
+
+
+@pytest.fixture(scope="module")
+def oracle_clouds(tmp_path_factory):
+    ex1 = family_cloud(build_family(Example1(), 3), 4, kind="ex1")
+    fs = product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 4))
+    # a CSV without its sidecar loads with no placement error
+    path = tmp_path_factory.mktemp("bare") / "cantor.csv"
+    save_cloud(product_cloud(hsquare_cloud(2), cantor_cloud(0.5, 5)), path)
+    sidecar_path(path).unlink()
+    bare = load_cloud(path)
+    assert ex1.placement_error > 0 and fs.placement_error > 0 and bare.placement_error == 0
+    return {"ex1": ex1, "fs": fs, "bare": bare}
+
+
+@pytest.mark.parametrize("name", ["ex1", "fs", "bare"])
+@pytest.mark.parametrize("rule, s, convention", [
+    (PowerLaw(0.5), 1.0, "r^s"),
+    (Linear(0.25), 1.5, "(2r)^s"),
+    (Quadratic(2.0), 1.0, "2r"),
+    (Fixed(0.125), 2.5, "r^s"),
+], ids=["power_law", "linear", "quadratic", "fixed"])
+def test_pruned_scan_matches_unpruned_reference(oracle_clouds, name, rule, s, convention):
+    cloud = oracle_clouds[name]
+    bases = panel_from_cloud(cloud, 5)
+    # unsorted, with duplicates
+    radii = [0.3, 0.05, 0.3, 0.12, 1.1, 0.05, 0.02, 0.7]
+    got = _assert_scan_matches_ref(cloud, bases, radii, rule, s, convention, "oracle")
+    assert any(e["outside"] > 0 for ps in got["points"] for e in ps["series"])
+    # radii equal to rows' own distances put those rows on the sphere
+    dE = dist_many(cloud.points, bases[0], E)
+    ties = [float(v) for v in np.unique(dE[dE > 0])[[0, 3, -40, -1]]]
+    _assert_scan_matches_ref(cloud, bases, ties + radii[:3], rule, s, convention, "oracle")
+
+
+def test_pruned_scan_rounding_edges():
+    # on the t-axis through the origin dE = pd = |t| exactly; the two halves of
+    # the keep filter, fl(dE - r) <= e and dE <= fl(r + e), disagree at each row
+    e = 0.25909202707367274
+    r_a, d_a = 0.039265546881084884, 0.29835757395475765
+    r_b, d_b = 0.2745175275197104, 0.5336095545933832
+    assert d_a - r_a <= e and not d_a <= r_a + e
+    assert not d_b - r_b <= e and d_b <= r_b + e
+    t = np.concatenate([np.linspace(-1.0, 1.0, 201), [d_a, -d_b]])
+    points = np.column_stack([np.zeros_like(t), np.zeros_like(t), t])
+    weights = np.full(len(t), 1.0 / len(t))
+    cloud = WeightedCloud(points, weights, float(weights.sum()), 0, {"kind": "edge"}, err_t=e)
+    assert cloud.placement_error == e
+    assert dist_many(cloud.points, O, E)[-2] == d_a
+    # row a counts in the sphere band at r_a, row b in the slab band at r_b
+    # (rho = 2 r_b, e_plane = e)
+    for radii in ([r_a], [r_b], [r_b, r_a]):
+        _assert_scan_matches_ref(cloud, [O], radii, Fixed(2.0), 1.0, "2r", "edge")
+
 def test_rho_rules():
     assert PowerLaw(0.5).rho(0.04) == 0.04**1.5
     assert Linear(0.25).rho(0.2) == 0.05
@@ -274,6 +400,7 @@ def test_sandwich_corrected_outer_radius_clean():
     # holds on the same samples
     rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
     R = 2.0
+    P, Q, radius = [], [], []
     for r in (1.0, 0.3, 0.1):
         for _ in range(3000):
             ang = rng.uniform(0, 2 * math.pi)
@@ -282,11 +409,12 @@ def test_sandwich_corrected_outer_radius_clean():
             a = r * math.sqrt(rng.random())
             phi = rng.uniform(0, 2 * math.pi)
             u = Point(a * math.cos(phi), a * math.sin(phi), rng.uniform(-r * r, r * r))
-            from heislab.hgeom import group_mul
-
-            q = group_mul(p, u)
-            if dist(q, p, H) <= r:
-                assert dist(q, p, E) <= 3 * (1 + R) * r
+            P.append(p.as_array())
+            Q.append(group_mul(p, u).as_array())
+            radius.append(r)
+    P, Q, radius = np.array(P), np.array(Q), np.array(radius)
+    member = dist_pairs(Q, P, H) <= radius
+    assert (dist_pairs(Q, P, E)[member] <= 3 * (1 + R) * radius[member]).all()
 
 
 def test_sandwich_validations():
