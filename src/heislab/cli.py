@@ -28,6 +28,7 @@ from .constructions import (
     product_cloud,
     save_cloud,
     segment_cloud,
+    write_json,
 )
 from .dimension import (
     check_dimension_inequalities,
@@ -57,13 +58,6 @@ from .probes import (
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 ASSERT_ERROR = 4
-
-
-def write_json(obj, path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    tmp.replace(path)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -181,7 +175,7 @@ def cmd_density(args) -> int:
         family = build_family(params, cloud.level)
         h_by_level = {k: level_sides(params, k)[0] for k in range(cloud.level + 1)}
         bases = _base_points(args, cloud, family, x_max=EX1_PANEL_X_MAX)
-        result = ex1_scan(cloud, h_by_level, range(1, cloud.level), bases, seed=args.seed)
+        result = ex1_scan(cloud, h_by_level, range(1, cloud.level), bases)
     elif probe == "ex2":
         M = args.M if args.M is not None else cloud.source.get("M")
         if M is None:
@@ -191,7 +185,7 @@ def cmd_density(args) -> int:
         bases = _base_points(args, cloud, family)
         if radii is None:
             radii = ex2_default_radii(M, cloud.level)
-        result = ex2_scan(cloud, M, cloud.level, radii, bases, seed=args.seed)
+        result = ex2_scan(cloud, M, cloud.level, radii, bases)
     elif probe == "ex3":
         if kind != "fs":
             print(f"error: probe ex3 needs an fs cloud, got {kind!r}", file=sys.stderr)
@@ -207,20 +201,20 @@ def cmd_density(args) -> int:
             return USAGE_ERROR
         if radii is None:
             radii = list(np.geomspace(5.0, 0.05, 17))
-        result = ex3_probe(d, 0, 0, radii, base_count=args.base_count, seed=args.seed,
+        result = ex3_probe(d, 0, 0, radii, base_count=args.base_count,
                            fs_cloud=cloud, cantor_cloud_in=cantor)
     elif probe == "thm1":
         bases = _base_points(args, cloud)
         if radii is None:
             print("error: probe thm1 needs radii (--radii or --r-min/--r-max)", file=sys.stderr)
             return USAGE_ERROR
-        result = thm1_scan(cloud, bases, args.epsilon, radii, s=args.s, seed=args.seed)
+        result = thm1_scan(cloud, bases, args.epsilon, radii, s=args.s)
     elif probe == "thm2":
         bases = _base_points(args, cloud)
         if radii is None:
             print("error: probe thm2 needs radii (--radii or --r-min/--r-max)", file=sys.stderr)
             return USAGE_ERROR
-        result = thm2_scan(cloud, bases, args.delta, radii, s=args.s, seed=args.seed)
+        result = thm2_scan(cloud, bases, args.delta, radii, s=args.s)
     else:
         raise ValueError(f"unknown probe {probe!r}")
     write_json(probe_result_to_dict(result), args.out)
@@ -307,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-count", type=int, default=12)
     p.add_argument("--base-point", action="append")
     p.add_argument("--cantor-in")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--assert", dest="do_assert", action="store_true")
     p.set_defaults(func=cmd_density)

@@ -460,6 +460,14 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def write_json(obj, path) -> None:
+    """Write obj as sorted, indented JSON through a temporary file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    tmp.replace(path)
+
+
 def save_cloud(cloud: WeightedCloud, path) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -480,10 +488,7 @@ def save_cloud(cloud: WeightedCloud, path) -> None:
         "err_xy": cloud.err_xy,
         "err_t": cloud.err_t,
     }
-    mpath = sidecar_path(path)
-    mtmp = mpath.with_name(mpath.name + ".tmp")
-    mtmp.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    mtmp.replace(mpath)
+    write_json(meta, sidecar_path(path))
 
 
 def _read_sidecar(mpath: Path) -> dict:

@@ -148,22 +148,18 @@ def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind) -> list[NetCoun
     return [greedy_net(cloud, d, metric)[0] for d in deltas]
 
 
-def estimate_dimension(counts: list[NetCount], metric: MetricKind = MetricKind.EUCLIDEAN,
-                       drop_extremes: bool | None = None) -> DimensionEstimate:
-    """Least-squares slope of log(count) against log(1/delta). By default the
-    largest and smallest delta are dropped as plateau and saturation guards
-    whenever at least five scales are available."""
+def estimate_dimension(counts: list[NetCount],
+                       metric: MetricKind = MetricKind.EUCLIDEAN) -> DimensionEstimate:
+    """Least-squares slope of log(count) against log(1/delta). The largest and
+    smallest delta are dropped as plateau and saturation guards whenever at
+    least five scales are available."""
     if len(counts) < 3:
         raise ValueError(f"need at least 3 scales, got {len(counts)}")
-    if drop_extremes is None:
-        drop_extremes = len(counts) >= 5
     ordered = sorted(counts, key=lambda c: -c.delta)
-    if drop_extremes:
-        dropped = [ordered[0], ordered[-1]]
-        used = ordered[1:-1]
+    if len(ordered) >= 5:
+        dropped, used = [ordered[0], ordered[-1]], ordered[1:-1]
     else:
-        dropped = []
-        used = ordered
+        dropped, used = [], ordered
     x = np.log(1.0 / np.array([c.delta for c in used]))
     y = np.log(np.array([c.count for c in used], dtype=float))
     xm, ym = x.mean(), y.mean()

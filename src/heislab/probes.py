@@ -133,7 +133,6 @@ class ProbeResult:
     points: list[PointSeries]
     summary: dict
     error_bound: float
-    seed: int
     extra: dict = field(default_factory=dict)
 
 
@@ -171,7 +170,7 @@ def _denominator(kind: str, r: float, s: float) -> float:
 
 
 def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
-                 s: float, convention: str, probe: str, seed: int = 0,
+                 s: float, convention: str, probe: str,
                  extra: dict | None = None) -> ProbeResult:
     """Evaluate the density ratio on a grid of radii at each base point.
 
@@ -231,27 +230,30 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     }
     return ProbeResult(probe=probe, convention=convention, rho_rule=rho_rule, s=s,
                        points=point_series, summary=summary, error_bound=err,
-                       seed=seed, extra=extra or {})
+                       extra=extra or {})
 
 
 def thm1_scan(cloud: WeightedCloud, base_points, epsilon: float, radii,
-              s: float = 1.0, seed: int = 0) -> ProbeResult:
+              s: float = 1.0) -> ProbeResult:
     """Shrinking-neighborhood scan, rho = r^(1+epsilon), denominator r^s.
     The quantity of interest is the minimum over the radius grid."""
-    return scan_density(cloud, base_points, radii, PowerLaw(epsilon), s, "r^s",
-                        probe="thm1", seed=seed)
+    return scan_density(cloud, base_points, radii, PowerLaw(epsilon), s, "r^s", probe="thm1")
 
 
 def thm2_scan(cloud: WeightedCloud, base_points, delta: float, radii,
-              s: float, seed: int = 0) -> ProbeResult:
+              s: float) -> ProbeResult:
     """Linear-neighborhood scan, rho = delta * r, denominator (2r)^s.
     The quantity of interest is the maximum over the radius grid."""
-    return scan_density(cloud, base_points, radii, Linear(delta), s, "(2r)^s",
-                        probe="thm2", seed=seed)
+    return scan_density(cloud, base_points, radii, Linear(delta), s, "(2r)^s", probe="thm2")
 
 
 # ---------------------------------------------------------------------------
 # base-point panels
+
+def _strided(n: int, count: int) -> np.ndarray:
+    """At most count distinct indices, evenly strided through range(n)."""
+    return np.unique(np.linspace(0, n - 1, min(count, n)).round().astype(int))
+
 
 def panel_from_rects(family, count: int, x_max: float | None = None) -> list[Point]:
     """Deterministic panel of rectangle centers, evenly strided through the
@@ -262,14 +264,11 @@ def panel_from_rects(family, count: int, x_max: float | None = None) -> list[Poi
         x, t = x[x <= x_max], t[x <= x_max]
     if not x.size:
         raise ValueError("no admissible base points")
-    idx = np.unique(np.linspace(0, x.size - 1, min(count, x.size)).round().astype(int))
-    return [Point(float(x[i]), 0.0, float(t[i])) for i in idx]
+    return [Point(float(x[i]), 0.0, float(t[i])) for i in _strided(x.size, count)]
 
 
 def panel_from_cloud(cloud: WeightedCloud, count: int) -> list[Point]:
-    n = len(cloud)
-    idx = np.unique(np.linspace(0, n - 1, min(count, n)).round().astype(int))
-    return [Point.from_array(cloud.points[i]) for i in idx]
+    return [Point.from_array(cloud.points[i]) for i in _strided(len(cloud), count)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +280,8 @@ def panel_from_cloud(cloud: WeightedCloud, count: int) -> list[Point]:
 EX1_PANEL_X_MAX = 0.75
 
 
-def ex1_scan(cloud: WeightedCloud, h_by_level: dict[int, float], ks, base_points,
-             seed: int = 0) -> ProbeResult:
+def ex1_scan(cloud: WeightedCloud, h_by_level: dict[int, float], ks,
+             base_points) -> ProbeResult:
     """Alternating-family probe at the level-tied radii r_k = 4 h_{k+1} with
     rho = r/8 and denominator 2r; at these radii the ball always captures a
     sibling rectangle clear of the plane neighborhood."""
@@ -294,13 +293,11 @@ def ex1_scan(cloud: WeightedCloud, h_by_level: dict[int, float], ks, base_points
         r = 4.0 * h_by_level[k + 1]
         radii.append(r)
         by_r[r] = k
-    res = scan_density(cloud, base_points, radii, Fixed(1.0 / 8.0), 1.0, "2r",
-                       probe="ex1", seed=seed, extra={"k_by_radius": by_r})
-    return res
+    return scan_density(cloud, base_points, radii, Fixed(1.0 / 8.0), 1.0, "2r",
+                        probe="ex1", extra={"k_by_radius": by_r})
 
 
-def ex1_probe(level: int, samples_per_rect: int = 4, base_count: int = 12,
-              seed: int = 0) -> ProbeResult:
+def ex1_probe(level: int, samples_per_rect: int = 4, base_count: int = 12) -> ProbeResult:
     """Build the doubly exponential family at `level` and probe every admissible
     k < level. Base points are deepest-level rectangle centers with
     x <= EX1_PANEL_X_MAX."""
@@ -311,7 +308,7 @@ def ex1_probe(level: int, samples_per_rect: int = 4, base_count: int = 12,
     cloud = family_cloud(family, samples_per_rect, kind="ex1")
     h_by_level = {k: level_sides(params, k)[0] for k in range(level + 1)}
     bases = panel_from_rects(family, base_count, x_max=EX1_PANEL_X_MAX)
-    return ex1_scan(cloud, h_by_level, range(1, level), bases, seed=seed)
+    return ex1_scan(cloud, h_by_level, range(1, level), bases)
 
 
 def ex2_window_level(r: float) -> int:
@@ -334,18 +331,15 @@ def ex2_default_radii(M: float, level: int, per_window: int = 4) -> list[float]:
 
 
 def ex2_first_valid_level(M: float) -> int:
-    k = 1
-    while 2**k <= 68 * M:
-        k += 1
-    return k
+    """First level k with 2^k > 68M: one past the schedule's switch level,
+    exactly, since doubling is exact in floating point."""
+    return Example2(M).switch_level() + 1
 
 
-def ex2_scan(cloud: WeightedCloud, M: float, level: int, radii, base_points,
-             seed: int = 0) -> ProbeResult:
+def ex2_scan(cloud: WeightedCloud, M: float, level: int, radii, base_points) -> ProbeResult:
     """Quadratic-neighborhood probe, rho = M r^2, denominator 2r; every radius
     must lie in a window 2^(1-k) <= r < 2^(2-k) with 2^k > 68M and k+1 <= level."""
-    if not M > 1.0:
-        raise ValueError(f"M must be > 1, got {M}")
+    rule = Quadratic(M)  # rejects a bad M before any window check
     for r in radii:
         k = ex2_window_level(r)
         if 2**k <= 68 * M or k + 1 > level:
@@ -353,13 +347,12 @@ def ex2_scan(cloud: WeightedCloud, M: float, level: int, radii, base_points,
                 f"radius {r} falls in window [2^{1 - k}, 2^{2 - k}) for k={k}; "
                 f"validity needs 2^k > 68M = {68 * M} and k+1 <= level = {level}"
             )
-    return scan_density(cloud, base_points, radii, Quadratic(M), 1.0, "2r",
-                        probe="ex2", seed=seed,
+    return scan_density(cloud, base_points, radii, rule, 1.0, "2r", probe="ex2",
                         extra={"window_levels": sorted({ex2_window_level(r) for r in radii})})
 
 
 def ex2_probe(M: float, level: int, radii=None, samples_per_rect: int = 4,
-              base_count: int = 12, seed: int = 0) -> ProbeResult:
+              base_count: int = 12) -> ProbeResult:
     """Build the flat-rectangle family and probe inside the valid radius windows."""
     params = Example2(M)
     k0 = ex2_first_valid_level(M)
@@ -373,7 +366,7 @@ def ex2_probe(M: float, level: int, radii=None, samples_per_rect: int = 4,
     if radii is None:
         radii = ex2_default_radii(M, level)
     bases = panel_from_rects(family, base_count)
-    return ex2_scan(cloud, M, level, radii, bases, seed=seed)
+    return ex2_scan(cloud, M, level, radii, bases)
 
 
 def _annulus_min_ratio(t_values: np.ndarray, weights: np.ndarray, centers: np.ndarray,
@@ -399,8 +392,7 @@ def estimate_annulus_constants(cantor: WeightedCloud, radii, d: float,
     if not radii:
         raise ValueError("annulus estimation needs radii inside (0, 1)")
     t_values = cantor.points[:, 2]
-    idx = np.unique(np.linspace(0, len(t_values) - 1, min(panel, len(t_values))).round().astype(int))
-    centers = t_values[idx]
+    centers = t_values[_strided(len(t_values), panel)]
     for c0 in sorted(c0_grid, reverse=True):
         cd = _annulus_min_ratio(t_values, cantor.weights, centers, radii, c0, d)
         if cd > 0.0:
@@ -409,8 +401,7 @@ def estimate_annulus_constants(cantor: WeightedCloud, radii, d: float,
 
 
 def ex3_probe(d: float, qh_depth: int, cantor_depth: int, radii,
-              base_count: int = 12, seed: int = 0,
-              fs_cloud: WeightedCloud | None = None,
+              base_count: int = 12, fs_cloud: WeightedCloud | None = None,
               cantor_cloud_in: WeightedCloud | None = None) -> ProbeResult:
     """Vertical-product probe: estimate the annulus constants (c0, c_d) on the
     Cantor cloud, then scan the product set with rho = (c0/6) * r and
@@ -425,13 +416,11 @@ def ex3_probe(d: float, qh_depth: int, cantor_depth: int, radii,
         return ProbeResult(probe="ex3", convention="r^s", rho_rule=Fixed(0.0), s=s,
                            points=[], summary={"min_ratio": math.nan, "max_ratio": math.nan,
                                                "argmin_r": None, "argmax_r": None},
-                           error_bound=math.inf, seed=seed,
+                           error_bound=math.inf,
                            extra={"c0": 0.0, "c_d": 0.0, "status": "degenerate"})
     bases = panel_from_cloud(fs, base_count)
-    res = scan_density(fs, bases, radii, Fixed(c0 / 6.0), s, "r^s",
-                       probe="ex3", seed=seed,
-                       extra={"c0": c0, "c_d": cd, "status": "ok"})
-    return res
+    return scan_density(fs, bases, radii, Fixed(c0 / 6.0), s, "r^s", probe="ex3",
+                        extra={"c0": c0, "c_d": cd, "status": "ok"})
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +529,8 @@ def probe_result_to_dict(res: ProbeResult) -> dict:
         ],
         "summary": res.summary,
         "error_bound": res.error_bound,
-        "seed": res.seed,
+        # no probe draws random numbers; the key stays because digests pin it
+        "seed": 0,
         **({"extra": res.extra} if res.extra else {}),
     }
 

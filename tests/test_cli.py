@@ -110,6 +110,7 @@ def test_density_thm_scans(tmp_path):
     assert code == 0
     res = json.loads(out.read_text())
     assert abs(res["summary"]["max_ratio"] - 0.75) < 0.01
+    assert res["seed"] == 0
 
     out1 = tmp_path / "thm1.json"
     code = run("density", "--in", tseg_path, "--probe", "thm1", "--epsilon", "0.5",
@@ -117,6 +118,12 @@ def test_density_thm_scans(tmp_path):
     assert code == 0
     res = json.loads(out1.read_text())
     assert res["convention"] == "r^s"
+
+    # the density probes draw no random numbers, so they take no seed
+    with pytest.raises(SystemExit) as exc:
+        run("density", "--in", tseg_path, "--probe", "thm1", "--radii", "0.01",
+            "--base-point", "0,0,0", "--seed", "1", "--out", out1)
+    assert exc.value.code == 2
 
 
 def test_density_ex2_reads_m_from_sidecar(tmp_path):

@@ -200,6 +200,10 @@ def test_estimate_dimension_exact_lines():
     est = estimate_dimension(counts)
     assert est.slope == pytest.approx(2.0, abs=1e-12)
     assert len(est.dropped) == 2
+    est = estimate_dimension(counts[:4])
+    assert est.slope == pytest.approx(2.0, abs=1e-12)
+    assert est.dropped == []
+    assert len(est.counts) == 4
 
 
 def test_estimate_dimension_needs_three_scales():

@@ -198,6 +198,10 @@ def test_ex2_probe_validations():
         ex2_probe(2.0, 9, radii=[0.3])  # outside every valid window
     with pytest.raises(ValueError):
         ex2_default_radii(2.0, 5)
+    with pytest.raises(ValueError):
+        ex2_default_radii(math.inf, 5)  # 2^k <= 68M for every k
+    with pytest.raises(ValueError):
+        ex2_default_radii(math.nan, 5)  # every comparison with NaN is false
 
 
 def test_ex3_probe_positive_and_annulus():
@@ -238,7 +242,7 @@ def test_scan_density_summary_args():
     assert res.summary["argmax_r"] in (0.2, 0.1)
 
 
-def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, seed=0, extra=None):
+def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, extra=None):
     """The unpruned radius loop: every mask runs on the whole cloud."""
     radii = sorted((float(r) for r in radii), reverse=True)
     if not radii or radii[-1] <= 0:
@@ -283,7 +287,7 @@ def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, seed=0,
     }
     return ProbeResult(probe=probe, convention=convention, rho_rule=rho_rule, s=s,
                        points=point_series, summary=summary, error_bound=err,
-                       seed=seed, extra=extra or {})
+                       extra=extra or {})
 
 
 def _assert_scan_matches_ref(*args):
@@ -435,4 +439,5 @@ def test_probe_result_serialization(tseg):
     assert d["points"][0]["p"] == [0.0, 0.0, 0.0]
     entry = d["points"][0]["series"][0]
     assert set(entry) == {"r", "inside", "outside", "ratio"}
-    assert "error_bound" in d and "seed" in d
+    assert "error_bound" in d
+    assert d["seed"] == 0
