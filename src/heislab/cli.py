@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -41,10 +40,10 @@ from .dimension import (
 from .hgeom import MetricKind, Point
 from .probes import (
     EX1_PANEL_X_MAX,
-    ex2_first_valid_level,
     ex1_scan,
     ex2_default_radii,
     ex2_scan,
+    ex2_windows,
     ex3_probe,
     panel_from_cloud,
     panel_from_rects,
@@ -68,9 +67,15 @@ def _radii_from_args(args) -> list[float] | None:
     if args.radii:
         return sorted(_parse_floats(args.radii), reverse=True)
     if args.r_min is not None and args.r_max is not None:
-        count = args.r_count or max(3, int(round(8 * math.log10(args.r_max / args.r_min))) + 1)
-        return list(np.geomspace(args.r_max, args.r_min, count))
+        return delta_ladder(args.r_max, args.r_min, args.r_count)
     return None
+
+
+def _source_param(cloud, probe: str, key: str) -> float:
+    try:
+        return float(cloud.source[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"probe {probe} needs a number {key} in the sidecar source") from None
 
 
 def _base_points(args, cloud, family=None, x_max=None) -> list[Point]:
@@ -86,17 +91,8 @@ def cmd_construct(args) -> int:
     if kind == "ex1":
         cloud = example_cloud(Example1(), args.level, args.samples_per_rect)
     elif kind == "ex2":
-        params = Example2(args.M)
-        k0 = ex2_first_valid_level(args.M)
-        if args.level < k0 + 1:
-            print(
-                f"error: level {args.level} leaves no valid window; the probe needs "
-                f"a level k with 2^k > 68M = {68 * args.M} and its children built "
-                f"(use --level >= {k0 + 1})",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
-        cloud = example_cloud(params, args.level, args.samples_per_rect)
+        ex2_windows(args.M, args.level)  # the ex2 probe needs a window at this level
+        cloud = example_cloud(Example2(args.M), args.level, args.samples_per_rect)
     elif kind == "hsquare":
         cloud = hsquare_cloud(args.depth)
     elif kind == "cantor":
@@ -122,9 +118,7 @@ def cmd_construct(args) -> int:
 def cmd_dimension(args) -> int:
     cloud = load_cloud(args.infile)
     metric = MetricKind(args.metric)
-    deltas = delta_ladder(args.delta_max, args.delta_min,
-                          per_decade=args.per_decade) if args.scales is None else \
-        list(np.geomspace(args.delta_max, args.delta_min, args.scales))
+    deltas = delta_ladder(args.delta_max, args.delta_min, args.scales)
     counts = net_counts(cloud, deltas, metric)
     est = estimate_dimension(counts, metric=metric)
     write_json(estimate_to_dict(est), args.out)
@@ -164,12 +158,13 @@ def _probe_gate(result, probe: str) -> bool:
 
 def cmd_density(args) -> int:
     cloud = load_cloud(args.infile)
-    kind = cloud.source.get("kind")
-    probe = args.probe
+    probe, kind = args.probe, cloud.source.get("kind")
     radii = _radii_from_args(args)
-    if probe in ("ex1", "ex2") and kind != probe:
-        print(f"error: probe {probe} needs a {probe} cloud, got {kind!r}", file=sys.stderr)
-        return USAGE_ERROR
+    need = {"ex1": "ex1", "ex2": "ex2", "ex3": "fs"}.get(probe, kind)  # thm1, thm2: any cloud
+    if need != kind:
+        raise ValueError(f"probe {probe} needs a {need!r} cloud, got {kind!r}")
+    if probe in ("thm1", "thm2") and radii is None:
+        raise ValueError(f"probe {probe} needs radii (--radii or --r-min/--r-max)")
     if probe == "ex1":
         params = Example1()
         family = build_family(params, cloud.level)
@@ -177,46 +172,27 @@ def cmd_density(args) -> int:
         bases = _base_points(args, cloud, family, x_max=EX1_PANEL_X_MAX)
         result = ex1_scan(cloud, h_by_level, range(1, cloud.level), bases)
     elif probe == "ex2":
-        M = args.M if args.M is not None else cloud.source.get("M")
-        if M is None:
-            print("error: ex2 probe needs --M or an ex2 sidecar with M", file=sys.stderr)
-            return USAGE_ERROR
+        M = _source_param(cloud, probe, "M")
         family = build_family(Example2(M), cloud.level)
         bases = _base_points(args, cloud, family)
         if radii is None:
             radii = ex2_default_radii(M, cloud.level)
         result = ex2_scan(cloud, M, cloud.level, radii, bases)
     elif probe == "ex3":
-        if kind != "fs":
-            print(f"error: probe ex3 needs an fs cloud, got {kind!r}", file=sys.stderr)
-            return USAGE_ERROR
+        d = _source_param(cloud, probe, "d")
         if not args.cantor_in:
-            print("error: probe ex3 needs --cantor-in", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("probe ex3 needs --cantor-in")
         cantor = load_cloud(args.cantor_in)
-        d = float(cloud.source["d"])
         if cantor.source.get("kind") != "cantor" or cantor.source.get("d") != d:
-            print(f"error: --cantor-in needs a cantor cloud with d={d}, got {cantor.source}",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"--cantor-in needs a cantor cloud with d={d}, got {cantor.source}")
         if radii is None:
-            radii = list(np.geomspace(5.0, 0.05, 17))
+            radii = delta_ladder(5.0, 0.05, 17)
         result = ex3_probe(d, 0, 0, radii, base_count=args.base_count,
                            fs_cloud=cloud, cantor_cloud_in=cantor)
     elif probe == "thm1":
-        bases = _base_points(args, cloud)
-        if radii is None:
-            print("error: probe thm1 needs radii (--radii or --r-min/--r-max)", file=sys.stderr)
-            return USAGE_ERROR
-        result = thm1_scan(cloud, bases, args.epsilon, radii, s=args.s)
-    elif probe == "thm2":
-        bases = _base_points(args, cloud)
-        if radii is None:
-            print("error: probe thm2 needs radii (--radii or --r-min/--r-max)", file=sys.stderr)
-            return USAGE_ERROR
-        result = thm2_scan(cloud, bases, args.delta, radii, s=args.s)
+        result = thm1_scan(cloud, _base_points(args, cloud), args.epsilon, radii, s=args.s)
     else:
-        raise ValueError(f"unknown probe {probe!r}")
+        result = thm2_scan(cloud, _base_points(args, cloud), args.delta, radii, s=args.s)
     write_json(probe_result_to_dict(result), args.out)
     print(f"min ratio {result.summary['min_ratio']:.6g}, "
           f"max ratio {result.summary['max_ratio']:.6g}")
@@ -236,9 +212,15 @@ def cmd_sandwich(args) -> int:
     return 0
 
 
+def _load_estimate(path: str):
+    try:
+        return estimate_from_dict(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path} is not a dimension estimate: {exc!r}") from None
+
+
 def cmd_compare(args) -> int:
-    dE = estimate_from_dict(json.loads(Path(args.dimE).read_text()))
-    dH = estimate_from_dict(json.loads(Path(args.dimH).read_text()))
+    dE, dH = _load_estimate(args.dimE), _load_estimate(args.dimH)
     verdict = check_dimension_inequalities(dE.slope, dH.slope, args.tol)
     out = {
         "ok": verdict.ok,
@@ -282,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--delta-min", type=float, required=True)
     d.add_argument("--delta-max", type=float, required=True)
     d.add_argument("--scales", type=int)
-    d.add_argument("--per-decade", type=int, default=8)
     d.add_argument("--out", required=True)
     d.add_argument("--svg")
     d.set_defaults(func=cmd_dimension)
@@ -292,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", required=True, choices=["thm1", "thm2", "ex1", "ex2", "ex3"])
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--M", type=float)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--radii")
     p.add_argument("--r-min", type=float)

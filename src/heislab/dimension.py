@@ -173,13 +173,14 @@ def estimate_dimension(counts: list[NetCount],
                              counts=used, metric=metric, dropped=dropped)
 
 
-def delta_ladder(delta_max: float, delta_min: float, per_decade: int = 8) -> list[float]:
-    """Log-uniform descending deltas, about per_decade scales per decade."""
-    if not (0.0 < delta_min < delta_max):
-        raise ValueError("need 0 < delta_min < delta_max")
-    decades = math.log10(delta_max / delta_min)
-    n = max(3, int(round(per_decade * decades)) + 1)
-    return list(np.geomspace(delta_max, delta_min, n))
+def delta_ladder(hi: float, lo: float, count: int | None = None) -> list[float]:
+    """Log-uniform descending scales from hi to lo: count of them, or by
+    default about 8 per decade and at least 3."""
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError(f"a log ladder needs 0 < lo < hi < inf, got lo={lo}, hi={hi}")
+    if count is None:
+        count = max(3, int(round(8 * math.log10(hi / lo))) + 1)
+    return list(np.geomspace(hi, lo, count))
 
 
 def compare_on_pairs(P, Q) -> tuple[float, float]:

@@ -285,14 +285,15 @@ def ex1_scan(cloud: WeightedCloud, h_by_level: dict[int, float], ks,
     """Alternating-family probe at the level-tied radii r_k = 4 h_{k+1} with
     rho = r/8 and denominator 2r; at these radii the ball always captures a
     sibling rectangle clear of the plane neighborhood."""
-    radii = []
-    by_r = {}
+    radii, by_r = [], {}
     for k in ks:
         if k + 1 not in h_by_level:
             raise ValueError(f"no side length known for level {k + 1}")
         r = 4.0 * h_by_level[k + 1]
         radii.append(r)
         by_r[r] = k
+    if not radii:
+        raise ValueError("no admissible k: the ex1 probe needs level >= 2")
     return scan_density(cloud, base_points, radii, Fixed(1.0 / 8.0), 1.0, "2r",
                         probe="ex1", extra={"k_by_radius": by_r})
 
@@ -301,8 +302,6 @@ def ex1_probe(level: int, samples_per_rect: int = 4, base_count: int = 12) -> Pr
     """Build the doubly exponential family at `level` and probe every admissible
     k < level. Base points are deepest-level rectangle centers with
     x <= EX1_PANEL_X_MAX."""
-    if level < 2:
-        raise ValueError(f"need level >= 2 (no admissible k at level {level})")
     params = Example1()
     family = build_family(params, level)
     cloud = family_cloud(family, samples_per_rect, kind="ex1")
@@ -316,37 +315,36 @@ def ex2_window_level(r: float) -> int:
     return math.ceil(1.0 - math.log2(r))
 
 
+def ex2_windows(M: float, level: int) -> range:
+    """Window levels k at which a level-`level` ex2 cloud can be probed: 2^k > 68M
+    (past the switch level, exactly, as doubling is exact) and k + 1 <= level."""
+    k0 = Example2(M).switch_level() + 1
+    if level <= k0:
+        raise ValueError(f"level {level} has no valid probing window: need a level k with "
+                         f"2^k > 68M = {68 * M} and its children built (level >= {k0 + 1})")
+    return range(k0, level)
+
+
 def ex2_default_radii(M: float, level: int, per_window: int = 4) -> list[float]:
     """Radii in the lower part [2^(1-k), 1.3 * 2^(1-k)] of each valid window;
     there the sibling rectangle clears the quadratic neighborhood for every
     base point, including the plane-distance normalization up to sqrt(5)."""
-    k0 = ex2_first_valid_level(M)
     out = []
-    for k in range(k0, level):
-        lo = 2.0 ** (1 - k)
-        out.extend(np.geomspace(lo, 1.3 * lo, per_window))
-    if not out:
-        raise ValueError(f"no valid window: need a level k with 2^k > 68M = {68 * M}")
+    for k in ex2_windows(M, level):
+        out.extend(np.geomspace(2.0 ** (1 - k), 1.3 * 2.0 ** (1 - k), per_window))
     return sorted(out, reverse=True)
-
-
-def ex2_first_valid_level(M: float) -> int:
-    """First level k with 2^k > 68M: one past the schedule's switch level,
-    exactly, since doubling is exact in floating point."""
-    return Example2(M).switch_level() + 1
 
 
 def ex2_scan(cloud: WeightedCloud, M: float, level: int, radii, base_points) -> ProbeResult:
     """Quadratic-neighborhood probe, rho = M r^2, denominator 2r; every radius
-    must lie in a window 2^(1-k) <= r < 2^(2-k) with 2^k > 68M and k+1 <= level."""
+    must lie in a window 2^(1-k) <= r < 2^(2-k) with k in ex2_windows(M, level)."""
     rule = Quadratic(M)  # rejects a bad M before any window check
+    windows = ex2_windows(M, level)
     for r in radii:
         k = ex2_window_level(r)
-        if 2**k <= 68 * M or k + 1 > level:
-            raise ValueError(
-                f"radius {r} falls in window [2^{1 - k}, 2^{2 - k}) for k={k}; "
-                f"validity needs 2^k > 68M = {68 * M} and k+1 <= level = {level}"
-            )
+        if k not in windows:
+            raise ValueError(f"radius {r} falls in window [2^{1 - k}, 2^{2 - k}) for k={k}; "
+                             f"validity needs 2^k > 68M = {68 * M} and k+1 <= level = {level}")
     return scan_density(cloud, base_points, radii, rule, 1.0, "2r", probe="ex2",
                         extra={"window_levels": sorted({ex2_window_level(r) for r in radii})})
 
@@ -354,14 +352,8 @@ def ex2_scan(cloud: WeightedCloud, M: float, level: int, radii, base_points) -> 
 def ex2_probe(M: float, level: int, radii=None, samples_per_rect: int = 4,
               base_count: int = 12) -> ProbeResult:
     """Build the flat-rectangle family and probe inside the valid radius windows."""
-    params = Example2(M)
-    k0 = ex2_first_valid_level(M)
-    if level < k0 + 1:
-        raise ValueError(
-            f"level {level} has no valid probing window: need a level k with "
-            f"2^k > 68M = {68 * M} and its children built (level >= {k0 + 1})"
-        )
-    family = build_family(params, level)
+    ex2_windows(M, level)  # refuse a level without a window before building it
+    family = build_family(Example2(M), level)
     cloud = family_cloud(family, samples_per_rect, kind="ex2", extra_source={"M": M})
     if radii is None:
         radii = ex2_default_radii(M, level)

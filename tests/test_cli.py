@@ -81,6 +81,75 @@ def test_dimension_bad_scale_range(tmp_path):
     assert code == 2
 
 
+def test_dimension_default_ladder(tmp_path):
+    # without --scales: about 8 scales per decade, the two ends dropped from the fit
+    cloud_path = tmp_path / "xseg.csv"
+    run("construct", "--set", "xseg", "--points", "2000", "--out", cloud_path)
+    est_path = tmp_path / "e.json"
+    assert run("dimension", "--in", cloud_path, "--metric", "euclidean",
+               "--delta-min", "0.001", "--delta-max", "0.25", "--out", est_path) == 0
+    est = json.loads(est_path.read_text())
+    assert len(est["scales"]) == 18
+    assert [s["delta"] for s in est["dropped_scales"]] == pytest.approx([0.25, 0.001])
+
+
+@pytest.mark.parametrize("argv", [
+    ("dimension", "--in", "c.csv", "--metric", "euclidean", "--delta-min", "0.05",
+     "--delta-max", "0.4", "--per-decade", "8", "--out", "e.json"),
+    ("density", "--in", "c.csv", "--probe", "ex2", "--M", "3", "--out", "p.json"),
+], ids=["per-decade", "density-M"])
+def test_removed_options_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("radii, message", [
+    (("--r-min", "0", "--r-max", "0.2"), "0 < lo < hi"),
+    (("--r-min", "0.2", "--r-max", "0.02"), "0 < lo < hi"),
+    (("--r-min", "0.02", "--r-max", "0.2", "--r-count", "0"), "nonempty"),
+], ids=["zero-r-min", "swapped", "zero-count"])
+def test_bad_radius_range_exits_2(tmp_path, capsys, radii, message):
+    tseg_path = tmp_path / "tseg.csv"
+    run("construct", "--set", "tseg", "--points", "500", "--out", tseg_path)
+    capsys.readouterr()
+    code = run("density", "--in", tseg_path, "--probe", "thm2", *radii,
+               "--base-point", "0,0,0", "--out", tmp_path / "p.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+def test_density_ex1_needs_level_2(tmp_path, capsys):
+    cloud_path = tmp_path / "ex1.csv"
+    run("construct", "--set", "ex1", "--level", "1", "--out", cloud_path)
+    capsys.readouterr()
+    code = run("density", "--in", cloud_path, "--probe", "ex1", "--out", tmp_path / "p.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no admissible k" in err and "level >= 2" in err
+
+
+@pytest.mark.parametrize("construct, probe, key", [
+    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", "M"),
+    (("--set", "fs", "--d", "0.5", "--depth", "2", "--cantor-depth", "4"), "ex3", "d"),
+], ids=["ex2-no-M", "fs-no-d"])
+def test_density_sidecar_without_parameter_exits_2(tmp_path, capsys, construct, probe, key):
+    cloud_path, cantor_path = tmp_path / "c.csv", tmp_path / "cantor.csv"
+    run("construct", *construct, "--out", cloud_path)
+    run("construct", "--set", "cantor", "--d", "0.5", "--depth", "4", "--out", cantor_path)
+    meta_path = tmp_path / "c.meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["source"][key]
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    code = run("density", "--in", cloud_path, "--probe", probe, "--cantor-in", cantor_path,
+               "--out", tmp_path / "p.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"number {key}" in err
+
+
 def test_density_ex1_assert_gate(tmp_path):
     cloud_path = tmp_path / "ex1.csv"
     run("construct", "--set", "ex1", "--level", "3", "--samples-per-rect", "8",
@@ -149,6 +218,25 @@ def test_compare_cantor_pair(tmp_path):
     assert abs(json.loads(de.read_text())["slope"] - 0.5) < 0.1
     assert abs(json.loads(dh.read_text())["slope"] - 1.0) < 0.15
     assert run("compare", "--dimE", de, "--dimH", dh, "--assert") == 0
+
+
+@pytest.mark.parametrize("blob", [
+    {"metric": "heisenberg", "intercept": 0.0, "r_squared": 1.0, "scales": []},
+    [1, 2],
+    {"metric": "heisenberg", "slope": "steep", "intercept": 0.0, "r_squared": 1.0,
+     "scales": []},
+], ids=["no-slope", "list", "string-slope"])
+def test_compare_malformed_estimate_exits_2(tmp_path, capsys, blob):
+    cloud_path = tmp_path / "xseg.csv"
+    run("construct", "--set", "xseg", "--points", "512", "--out", cloud_path)
+    de, dh = tmp_path / "dE.json", tmp_path / "dH.json"
+    run("dimension", "--in", cloud_path, "--metric", "euclidean",
+        "--delta-min", "0.05", "--delta-max", "0.4", "--out", de)
+    dh.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run("compare", "--dimE", de, "--dimH", dh) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(dh) in err and "dimension estimate" in err
 
 
 def test_density_ex3_with_cantor_input(tmp_path):

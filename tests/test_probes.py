@@ -43,6 +43,7 @@ from heislab.probes import (
     ex2_default_radii,
     ex2_probe,
     ex2_window_level,
+    ex2_windows,
     ex3_probe,
     mass_split,
     panel_from_cloud,
@@ -183,6 +184,23 @@ def test_ex2_window_level():
     assert ex2_window_level(2.0**-7) == 8
     assert ex2_window_level(1.5 * 2.0**-7) == 8
     assert ex2_window_level(2.0**-6) == 7
+
+
+def test_ex2_windows_match_the_inline_rule():
+    # both float neighbours of every 2^j / 68 with M > 1, the boundary itself,
+    # and a few off-dyadic values
+    bounds = [2.0**j / 68.0 for j in range(7, 60)]
+    ms = [m for b in bounds for m in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
+    for M in ms + [1.1, 2.0, 7.3, 1e6]:
+        k0 = ex2_windows(M, 100).start
+        for level in (k0 + 1, k0 + 2, k0 + 5):
+            windows = ex2_windows(M, level)
+            for k in range(-3, level + 3):
+                # the window rule as ex2_scan used to spell it inline
+                assert (k in windows) == (not (2**k <= 68 * M or k + 1 > level)), (M, level, k)
+        for level in (k0, k0 - 1, 1):
+            with pytest.raises(ValueError, match="no valid probing window.*68M"):
+                ex2_windows(M, level)
 
 
 def test_ex2_probe_min_ratio():
