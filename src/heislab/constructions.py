@@ -453,6 +453,8 @@ def expected_dims(source: dict) -> tuple[float | None, float]:
 # ---------------------------------------------------------------------------
 # serialization: CSV for points, JSON sidecar for metadata
 
+SAVE_BLOCK_ROWS = 32768  # rows formatted per write in save_cloud
+
 def sidecar_path(path) -> Path:
     path = Path(path)
     if path.suffix == ".csv":
@@ -469,13 +471,17 @@ def write_json(obj, path) -> None:
 
 
 def save_cloud(cloud: WeightedCloud, path) -> None:
+    """Write the cloud as CSV rows x,y,t,weight (CRLF line ends, repr fields, so
+    load_cloud gives back every bit) plus the JSON sidecar."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    data = np.column_stack((cloud.points, cloud.weights))
     with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "t", "weight"])
-        for (x, y, t), w in zip(cloud.points, cloud.weights):
-            writer.writerow([repr(float(x)), repr(float(y)), repr(float(t)), repr(float(w))])
+        fh.write("x,y,t,weight\r\n")
+        # formatted in row blocks: the whole file as one string costs its size again
+        for start in range(0, len(data), SAVE_BLOCK_ROWS):
+            block = data[start:start + SAVE_BLOCK_ROWS]
+            fh.write(("%s,%s,%s,%s\r\n" * len(block)) % tuple(map(repr, block.ravel().tolist())))
     tmp.replace(path)
     meta = {
         "source": cloud.source,
@@ -514,35 +520,46 @@ def _read_sidecar(mpath: Path) -> dict:
 
 
 def load_cloud(path) -> WeightedCloud:
+    """Read a save_cloud CSV and its sidecar. Empty lines are skipped; anything
+    else that is not 4 comma-separated floats per row is a ValueError naming
+    the file."""
     path = Path(path)
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = next(csv.reader([fh.readline()]), [])
         if header != ["x", "y", "t", "weight"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        for row in reader:
-            rows.append([float(v) for v in row])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    try:
-        data = np.asarray(rows, dtype=float).reshape(len(rows), 4)
-    except ValueError:
-        raise ValueError(f"{path}: every row must have 4 fields") from None
+            raise ValueError(f"{path}: unexpected CSV header {header}")
+        # np.loadtxt warns on an input without rows, so look for a row first
+        start = fh.tell()
+        while (line := fh.readline()) and not line.rstrip("\r\n"):
+            pass
+        if not line:
+            raise ValueError(f"{path}: no data rows")
+        fh.seek(start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:  # numpy's message, less its usecols hint
+            detail = str(exc).split(";")[0].rstrip(".")
+            raise ValueError(f"{path}: every row must have 4 fields, each a float "
+                             f"({detail})") from None
+    if data.shape[1] != 4:
+        raise ValueError(f"{path}: every row must have 4 fields")
     mpath = sidecar_path(path)
     if mpath.exists():
         meta = _read_sidecar(mpath)
     else:
         meta = {"source": {"kind": "unknown"}, "level": 0, "total_mass": float(data[:, 3].sum()),
                 "err_xy": 0.0, "err_t": 0.0}
-    return WeightedCloud(
-        points=data[:, :3],
-        weights=data[:, 3],
-        total_mass=meta["total_mass"],
-        level=meta["level"],
-        source=meta["source"],
-        h=meta.get("h"),
-        v=meta.get("v"),
-        err_xy=meta["err_xy"],
-        err_t=meta["err_t"],
-    )
+    try:
+        return WeightedCloud(
+            points=data[:, :3],
+            weights=data[:, 3],
+            total_mass=meta["total_mass"],
+            level=meta["level"],
+            source=meta["source"],
+            h=meta.get("h"),
+            v=meta.get("v"),
+            err_xy=meta["err_xy"],
+            err_t=meta["err_t"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

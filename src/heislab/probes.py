@@ -185,8 +185,8 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     mask passes cost about the ball's share of the cloud, not all of it.
     """
     radii = sorted((float(r) for r in radii), reverse=True)
-    if not radii or radii[-1] <= 0:
-        raise ValueError("radii must be a nonempty list of positive numbers")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ValueError("radii must be a nonempty list of finite positive numbers")
     e_ball = cloud.placement_error
     point_series: list[PointSeries] = []
     best_min = (math.inf, None, None)

@@ -108,13 +108,42 @@ def test_removed_options_are_usage_errors(argv):
     (("--r-min", "0", "--r-max", "0.2"), "0 < lo < hi"),
     (("--r-min", "0.2", "--r-max", "0.02"), "0 < lo < hi"),
     (("--r-min", "0.02", "--r-max", "0.2", "--r-count", "0"), "nonempty"),
-], ids=["zero-r-min", "swapped", "zero-count"])
+    (("--r-min", "0.02", "--r-max", "inf"), "0 < lo < hi"),
+    (("--r-min", "0.02"), "go together"),
+    (("--r-max", "0.2"), "go together"),
+    (("--r-count", "5"), "--r-count needs"),
+    (("--radii", "0.1", "--r-min", "0.02", "--r-max", "0.2"), "excludes"),
+    (("--radii", "0.1,inf"), "finite radii > 0"),
+    (("--radii", "nan"), "finite radii > 0"),
+    (("--radii", "0.1,0"), "finite radii > 0"),
+    (("--radii", ""), "nonempty"),
+], ids=["zero-r-min", "swapped", "zero-count", "inf-r-max", "lone-r-min", "lone-r-max",
+        "lone-r-count", "radii-and-range", "inf-radius", "nan-radius", "zero-radius",
+        "no-radii"])
 def test_bad_radius_range_exits_2(tmp_path, capsys, radii, message):
     tseg_path = tmp_path / "tseg.csv"
     run("construct", "--set", "tseg", "--points", "500", "--out", tseg_path)
     capsys.readouterr()
     code = run("density", "--in", tseg_path, "--probe", "thm2", *radii,
                "--base-point", "0,0,0", "--out", tmp_path / "p.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("construct, probe, radii, message", [
+    (("--set", "ex1", "--level", "3"), "ex1", ("--radii", "0.5"), "no radius option"),
+    (("--set", "ex1", "--level", "3"), "ex1", ("--r-min", "0.1", "--r-max", "0.2"),
+     "no radius option"),
+    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", ("--radii", "inf"),
+     "finite radii > 0"),
+], ids=["ex1-radii", "ex1-range", "ex2-inf"])
+def test_density_probe_radius_rules_exit_2(tmp_path, capsys, construct, probe, radii, message):
+    cloud_path = tmp_path / "c.csv"
+    assert run("construct", *construct, "--out", cloud_path) == 0
+    capsys.readouterr()
+    code = run("density", "--in", cloud_path, "--probe", probe, *radii,
+               "--out", tmp_path / "p.json")
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
@@ -348,7 +377,12 @@ def test_threads_env_cap(tmp_path, monkeypatch):
     ("0,0,0.5\n0,0,1\n", "4 fields"),
     ("0,0,0.5,0.5,9\n0,0,1,0.5,9\n", "4 fields"),
     ("0,0,nan,0.5\n0,0,1,0.5\n", "non-finite"),
-], ids=["header-only", "ragged", "3-field", "5-field", "nan"])
+    ("0,0,0.5,0.5\n# 0,0,1,0.5\n", "c.csv: every row must have 4 fields"),
+    ("0,0,0.5,0.5\n0,abc,1,0.5\n", "c.csv: every row must have 4 fields"),
+    ("0,0,0.5,0.0\n" * 40_000 + "0,0,1\n", "c.csv: every row must have 4 fields"),
+    ("\n\n", "c.csv: no data rows"),
+], ids=["header-only", "ragged", "3-field", "5-field", "nan", "comment", "abc",
+        "ragged-late", "blank-only"])
 def test_dimension_header_only_csv_exits_2(tmp_path, capsys, rows, message):
     cloud_path = tmp_path / "c.csv"
     run("construct", "--set", "cantor", "--d", "0.5", "--depth", "3", "--out", cloud_path)

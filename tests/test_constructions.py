@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heislab.constructions import (
+    SAVE_BLOCK_ROWS,
     AxisContraction,
+    WeightedCloud,
     Example1,
     Example2,
     RectFamily,
@@ -366,3 +369,55 @@ def test_csv_round_trip_exact(tmp_path):
     assert again.h == cloud.h and again.v == cloud.v
     meta = json.loads((tmp_path / "c.meta.json").read_text())
     assert meta["vertical_placement_error"] == cloud.v / 2
+
+
+def _save_ref(cloud, path):
+    """The csv-module writer: one writerow of repr fields per point."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "t", "weight"])
+        for (x, y, t), w in zip(cloud.points, cloud.weights):
+            writer.writerow([repr(float(x)), repr(float(y)), repr(float(t)), repr(float(w))])
+
+
+def test_save_cloud_bytes_and_bits(tmp_path):
+    # two full row blocks and a partial third; every magnitude repr can take
+    n = 2 * SAVE_BLOCK_ROWS + 3
+    rng = np.random.default_rng(7)
+    points = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    weights = rng.random(n)
+    special = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 3.0, -7.0, 2.0**53]
+    points[:len(special)] = np.array(special)[:, None]
+    points[-len(special):, 1] = special
+    weights[:6] = [-0.0, 5e-324, 1e-300, 0.1, 3.0, 0.0]
+    cloud = WeightedCloud(points=points, weights=weights, total_mass=float(weights.sum()),
+                          level=0, source={"kind": "unknown"})
+    path, ref = tmp_path / "c.csv", tmp_path / "ref.csv"
+    save_cloud(cloud, path)
+    _save_ref(cloud, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    again = load_cloud(path)
+    # array_equal cannot tell -0.0 from 0.0; the bit patterns can
+    assert np.array_equal(again.points.view(np.int64), cloud.points.view(np.int64))
+    assert np.array_equal(again.weights.view(np.int64), cloud.weights.view(np.int64))
+
+
+def test_load_cloud_line_ends_and_empty_lines(tmp_path):
+    path = tmp_path / "c.csv"
+    rows = ["0.5,-0.0,1e-300,0.25", "1.0,2.0,3.0,0.75"]
+    for text in ["x,y,t,weight\n" + "\n".join(rows) + "\n",
+                 "x,y,t,weight\r\n" + "\r\n".join(rows) + "\r\n",
+                 "x,y,t,weight\n" + "\n".join(rows),
+                 "x,y,t,weight\r\n" + rows[0] + "\r\n\r\n\n" + rows[1] + "\r\n\n"]:
+        path.write_bytes(text.encode())
+        cloud = load_cloud(path)
+        assert cloud.points.tolist() == [[0.5, -0.0, 1e-300], [1.0, 2.0, 3.0]]
+        assert math.copysign(1.0, cloud.points[0, 1]) == -1.0
+        assert cloud.weights.tolist() == [0.25, 0.75] and cloud.total_mass == 1.0
+    for text in ["x,y,t,weight\n0.5,0,1,0.25\n", "x,y,t,weight\r\n0.5,0,1,0.25"]:
+        path.write_bytes(text.encode())
+        cloud = load_cloud(path)
+        assert cloud.points.shape == (1, 3) and cloud.weights.tolist() == [0.25]
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        load_cloud(path)

@@ -260,6 +260,14 @@ def test_scan_density_summary_args():
     assert res.summary["argmax_r"] in (0.2, 0.1)
 
 
+@pytest.mark.parametrize("radii", [[], [0.2, 0.0], [-0.1], [math.inf, 0.1], [math.nan, 0.1]])
+def test_scan_density_rejects_bad_radii(radii):
+    # a NaN radius used to scan and report a max ratio of 0.0
+    tseg = segment_cloud("t", -1.0, 1.0, 100)
+    with pytest.raises(ValueError, match="finite positive"):
+        scan_density(tseg, [O], radii, Linear(0.25), 1.0, "(2r)^s", probe="thm2")
+
+
 def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, extra=None):
     """The unpruned radius loop: every mask runs on the whole cloud."""
     radii = sorted((float(r) for r in radii), reverse=True)
