@@ -20,9 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("nets", "density", "pipeline")
 
 
-def run(workload: str, trace: int, seconds: float) -> dict:
+def run(workload: str, trace: int) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", "0", "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", "0", "--seconds", "30", "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
     record, result = out.stdout.strip().splitlines()[-2:]
     return {"record": json.loads(record)["record"], "result": json.loads(result)}
@@ -31,15 +31,14 @@ def run(workload: str, trace: int, seconds: float) -> dict:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args()
 
     git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     src_lines = sum(len(p.read_text().splitlines())
                     for p in sorted((ROOT / "src" / "heislab").glob("*.py")))
-    runs = {f"{w}.trace{t}": run(w, t, args.seconds) for w in WORKLOADS for t in (0, 1)}
+    runs = {f"{w}.trace{t}": run(w, t) for w in WORKLOADS for t in (0, 1)}
     out = {"tag": args.tag, "commit": git.stdout.strip(), "src_heislab_lines": src_lines,
-           "seconds": args.seconds, "seed": 0, "runs": runs}
+           "seed": 0, "runs": runs}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -66,8 +65,8 @@ def _parse_floats(text: str) -> list[float]:
 
 def _radii_from_args(args) -> list[float] | None:
     """The radii the density options ask for, or None for the probe's own.
-    Every radius is finite and > 0, --r-min/--r-max come as a pair, and the
-    ex1 probe, whose radii are tied to the levels, takes no radius option."""
+    --r-min/--r-max come as a pair, and the ex1 probe, whose radii are tied
+    to the levels, takes no radius option; the probes check the radii."""
     options = (args.radii, args.r_min, args.r_max, args.r_count)
     if args.probe == "ex1" and any(value is not None for value in options):
         raise ValueError("probe ex1 scans its level-tied radii and takes no radius option")
@@ -79,10 +78,7 @@ def _radii_from_args(args) -> list[float] | None:
         raise ValueError("--radii excludes --r-min/--r-max")
     if args.radii is None:
         return None if args.r_min is None else delta_ladder(args.r_max, args.r_min, args.r_count)
-    radii = _parse_floats(args.radii)
-    if not radii or not all(0.0 < r < math.inf for r in radii):
-        raise ValueError(f"--radii must be a nonempty list of finite radii > 0, got {radii}")
-    return sorted(radii, reverse=True)
+    return _parse_floats(args.radii)
 
 
 def _source_param(cloud, probe: str, key: str) -> float:

@@ -535,14 +535,13 @@ def load_cloud(path) -> WeightedCloud:
         if not line:
             raise ValueError(f"{path}: no data rows")
         fh.seek(start)
+        bad_rows = f"{path}: every row must have 4 fields, each a float"
         try:
             data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:  # numpy's message, less its usecols hint
-            detail = str(exc).split(";")[0].rstrip(".")
-            raise ValueError(f"{path}: every row must have 4 fields, each a float "
-                             f"({detail})") from None
+        except ValueError:
+            raise ValueError(bad_rows) from None
     if data.shape[1] != 4:
-        raise ValueError(f"{path}: every row must have 4 fields")
+        raise ValueError(bad_rows)
     mpath = sidecar_path(path)
     if mpath.exists():
         meta = _read_sidecar(mpath)

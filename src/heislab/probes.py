@@ -169,6 +169,14 @@ def _denominator(kind: str, r: float, s: float) -> float:
     raise ValueError(f"unknown denominator convention {kind!r}")
 
 
+def _checked_radii(radii) -> list[float]:
+    """The radii as floats in descending order, each finite and > 0."""
+    radii = sorted((float(r) for r in radii), reverse=True)
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ValueError(f"radii must be a nonempty list of finite positive numbers, got {radii}")
+    return radii
+
+
 def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
                  s: float, convention: str, probe: str,
                  extra: dict | None = None) -> ProbeResult:
@@ -184,9 +192,7 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     same order as on the whole cloud and the results are bit-identical; the
     mask passes cost about the ball's share of the cloud, not all of it.
     """
-    radii = sorted((float(r) for r in radii), reverse=True)
-    if not radii or not all(0.0 < r < math.inf for r in radii):
-        raise ValueError("radii must be a nonempty list of finite positive numbers")
+    radii = _checked_radii(radii)
     e_ball = cloud.placement_error
     point_series: list[PointSeries] = []
     best_min = (math.inf, None, None)
@@ -340,6 +346,7 @@ def ex2_scan(cloud: WeightedCloud, M: float, level: int, radii, base_points) -> 
     must lie in a window 2^(1-k) <= r < 2^(2-k) with k in ex2_windows(M, level)."""
     rule = Quadratic(M)  # rejects a bad M before any window check
     windows = ex2_windows(M, level)
+    radii = _checked_radii(radii)  # ex2_window_level needs finite radii > 0
     for r in radii:
         k = ex2_window_level(r)
         if k not in windows:
@@ -400,6 +407,7 @@ def ex3_probe(d: float, qh_depth: int, cantor_depth: int, radii,
     denominator r^s at s = 2 + d."""
     if not (0.0 < d < 1.0):
         raise ValueError(f"d must lie in (0, 1), got {d}")
+    radii = _checked_radii(radii)
     cantor = cantor_cloud_in if cantor_cloud_in is not None else cantor_cloud(d, cantor_depth)
     fs = fs_cloud if fs_cloud is not None else product_cloud(hsquare_cloud(qh_depth), cantor)
     c0, cd = estimate_annulus_constants(cantor, radii, d)

@@ -113,9 +113,9 @@ def test_removed_options_are_usage_errors(argv):
     (("--r-max", "0.2"), "go together"),
     (("--r-count", "5"), "--r-count needs"),
     (("--radii", "0.1", "--r-min", "0.02", "--r-max", "0.2"), "excludes"),
-    (("--radii", "0.1,inf"), "finite radii > 0"),
-    (("--radii", "nan"), "finite radii > 0"),
-    (("--radii", "0.1,0"), "finite radii > 0"),
+    (("--radii", "0.1,inf"), "finite positive"),
+    (("--radii", "nan"), "finite positive"),
+    (("--radii", "0.1,0"), "finite positive"),
     (("--radii", ""), "nonempty"),
 ], ids=["zero-r-min", "swapped", "zero-count", "inf-r-max", "lone-r-min", "lone-r-max",
         "lone-r-count", "radii-and-range", "inf-radius", "nan-radius", "zero-radius",
@@ -136,7 +136,7 @@ def test_bad_radius_range_exits_2(tmp_path, capsys, radii, message):
     (("--set", "ex1", "--level", "3"), "ex1", ("--r-min", "0.1", "--r-max", "0.2"),
      "no radius option"),
     (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", ("--radii", "inf"),
-     "finite radii > 0"),
+     "finite positive"),
 ], ids=["ex1-radii", "ex1-range", "ex2-inf"])
 def test_density_probe_radius_rules_exit_2(tmp_path, capsys, construct, probe, radii, message):
     cloud_path = tmp_path / "c.csv"

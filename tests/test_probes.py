@@ -214,6 +214,9 @@ def test_ex2_probe_validations():
         ex2_probe(2.0, 3)  # no level with 2^k > 136 built
     with pytest.raises(ValueError):
         ex2_probe(2.0, 9, radii=[0.3])  # outside every valid window
+    for radii in ([math.inf], [math.nan], [0.0], []):  # before the window rule
+        with pytest.raises(ValueError, match="finite positive"):
+            ex2_probe(2.0, 9, radii=radii)
     with pytest.raises(ValueError):
         ex2_default_radii(2.0, 5)
     with pytest.raises(ValueError):
@@ -266,6 +269,8 @@ def test_scan_density_rejects_bad_radii(radii):
     tseg = segment_cloud("t", -1.0, 1.0, 100)
     with pytest.raises(ValueError, match="finite positive"):
         scan_density(tseg, [O], radii, Linear(0.25), 1.0, "(2r)^s", probe="thm2")
+    with pytest.raises(ValueError, match="finite positive"):
+        ex3_probe(0.5, 1, 2, radii)  # before the annulus estimate
 
 
 def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, extra=None):
