@@ -4,34 +4,30 @@ from pathlib import Path
 
 import numpy as np
 
-
-def _fit(values, lo, hi, size, pad):
-    span = hi - lo
-    if span <= 0:
-        span = 1.0
-    return pad + (values - lo) / span * (size - 2 * pad)
+SIZE = 640  # width and height of every plot, in pixels
 
 
-def svg_scatter(xs, ys, path, size: int = 640, radius: float = 0.8) -> None:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    px = _fit(xs, xs.min(), xs.max(), size, 20)
-    py = size - _fit(ys, ys.min(), ys.max(), size, 20)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">']
+def _fit(values, pad):
+    values = np.asarray(values, dtype=float)
+    lo = values.min()
+    span = values.max() - lo or 1.0  # a constant coordinate goes to the low edge
+    return pad + (values - lo) / span * (SIZE - 2 * pad)
+
+
+def svg_scatter(xs, ys, path) -> None:
+    px, py = _fit(xs, 20), SIZE - _fit(ys, 20)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}">']
     for x, y in zip(px, py):
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" fill="black"/>')
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="0.8" fill="black"/>')
     parts.append("</svg>\n")
     _atomic_write(Path(path), "\n".join(parts))
 
 
-def svg_polyline(xs, ys, path, size: int = 640) -> None:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    px = _fit(xs, xs.min(), xs.max(), size, 30)
-    py = size - _fit(ys, ys.min(), ys.max(), size, 30)
+def svg_polyline(xs, ys, path) -> None:
+    px, py = _fit(xs, 30), SIZE - _fit(ys, 30)
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
     body = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}">\n'
         f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>\n'
         "</svg>\n"
     )

@@ -90,7 +90,10 @@ def _source_param(cloud, probe: str, key: str) -> float:
 
 def _base_points(args, cloud, family=None, x_max=None) -> list[Point]:
     if args.base_point:
-        return [Point(*_parse_floats(s)) for s in args.base_point]
+        points = [_parse_floats(s) for s in args.base_point]
+        if any(len(p) != 3 for p in points):
+            raise ValueError(f"--base-point takes three numbers x,y,t, got {args.base_point}")
+        return [Point(*p) for p in points]
     if family is not None:
         return panel_from_rects(family, args.base_count, x_max=x_max)
     return panel_from_cloud(cloud, args.base_count)
@@ -192,6 +195,9 @@ def cmd_density(args) -> int:
         d = _source_param(cloud, probe, "d")
         if not args.cantor_in:
             raise ValueError("probe ex3 needs --cantor-in")
+        if args.base_point:
+            raise ValueError("probe ex3 strides its base points through the cloud "
+                             "(--base-count) and takes no --base-point")
         cantor = load_cloud(args.cantor_in)
         if cantor.source.get("kind") != "cantor" or cantor.source.get("d") != d:
             raise ValueError(f"--cantor-in needs a cantor cloud with d={d}, got {cantor.source}")

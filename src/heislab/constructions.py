@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hgeom import ORIGIN, Point, dilate, dilate_many, group_mul, group_mul_many
+from .hgeom import Point, dilate_many, group_mul_many
 
 MAX_POINTS = 10**7
 
@@ -205,7 +205,7 @@ class WeightedCloud:
         return self.points.shape[0]
 
 
-def family_cloud(family: RectFamily, samples_per_rect: int, kind: str = "rects",
+def family_cloud(family: RectFamily, samples_per_rect: int, kind: str,
                  extra_source: dict | None = None) -> WeightedCloud:
     """One midline strip of points per rectangle: x on the midpoint grid of
     [a, b], t at the rectangle center, embedded as (x, 0, t), each carrying
@@ -272,95 +272,39 @@ def segment_cloud(axis: str, lo: float, hi: float, n: int) -> WeightedCloud:
 # ---------------------------------------------------------------------------
 # iterated function systems
 
-@dataclass(frozen=True, slots=True)
-class IFSMapH:
-    """Left translation composed with a dilation; a similarity of ratio `ratio`
-    for the homogeneous metric."""
-
-    translation: Point
-    ratio: float
-
-    def __post_init__(self):
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError(f"contraction ratio must lie in (0, 1), got {self.ratio}")
-
-    def apply(self, p: Point) -> Point:
-        return group_mul(self.translation, dilate(p, self.ratio))
-
-    def apply_many(self, points: np.ndarray) -> np.ndarray:
-        return group_mul_many(self.translation, dilate_many(points, self.ratio))
-
-
-@dataclass(frozen=True, slots=True)
-class AxisContraction:
-    """Affine contraction t -> ratio * t + offset acting on the t-axis."""
-
-    ratio: float
-    offset: float
-
-    def apply_t(self, t: float) -> float:
-        return self.ratio * t + self.offset
-
-    def apply(self, p: Point) -> Point:
-        if p.x != 0.0 or p.y != 0.0:
-            raise ValueError("axis contraction applied off the t-axis")
-        return Point(0.0, 0.0, self.apply_t(p.t))
-
-    def apply_many(self, points: np.ndarray) -> np.ndarray:
-        if np.any(points[:, 0] != 0.0) or np.any(points[:, 1] != 0.0):
-            raise ValueError("axis contraction applied off the t-axis")
-        out = points.copy()
-        out[:, 2] = self.ratio * out[:, 2] + self.offset
-        return out
-
-
-@dataclass(frozen=True, slots=True)
-class CantorParams:
-    """Parameters of the symmetric Cantor set on the t-axis with Euclidean
-    dimension d: two maps of ratio 2^(-1/d), so that 2 * ratio^d = 1."""
-
-    d: float
-    ratio: float
-
-    def __post_init__(self):
-        if not (0.0 < self.d < 1.0):
-            raise ValueError(f"d must lie in (0, 1), got {self.d}")
-        if abs(2.0 * self.ratio**self.d - 1.0) > 1e-12:
-            raise ValueError("ratio does not satisfy 2 * ratio^d = 1")
-
-
-def hsquare_ifs() -> list[IFSMapH]:
-    """The four ratio-1/2 similarities whose attractor projects onto [0,1]^2:
-    horizontal lifts of (x, y) -> ((x, y) + v_j) / 2 with v_j the unit-square
-    corners, lift constants chosen zero."""
+def hsquare_ifs() -> list:
+    """The four ratio-1/2 similarities whose attractor projects onto [0,1]^2, as
+    functions on (n, 3) arrays: horizontal lifts of (x, y) -> ((x, y) + v_j) / 2
+    with v_j the unit-square corners, lift constants chosen zero."""
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    return [IFSMapH(Point(cx / 2.0, cy / 2.0, 0.0), 0.5) for cx, cy in corners]
+    return [lambda P, c=Point(cx / 2.0, cy / 2.0, 0.0): group_mul_many(c, dilate_many(P, 0.5))
+            for cx, cy in corners]
 
 
-def cantor_ifs(d: float) -> tuple[CantorParams, tuple[AxisContraction, AxisContraction]]:
-    """Maps t -> r t and t -> r t + (1 - r) with r = 2^(-1/d); the attractor is
-    the symmetric Cantor set in [0, 1] on the t-axis."""
+def cantor_ifs(d: float) -> tuple[float, tuple]:
+    """The ratio r = 2^(-1/d), so that 2 r^d = 1, and the maps t -> r t and
+    t -> r t + (1 - r) on the t column of (n, 3) arrays; the attractor is the
+    symmetric Cantor set in [0, 1] on the t-axis."""
     if not (0.0 < d < 1.0):
         raise ValueError(f"d must lie in (0, 1), got {d}")
     r = 2.0 ** (-1.0 / d)
-    params = CantorParams(d=d, ratio=r)
-    return params, (AxisContraction(r, 0.0), AxisContraction(r, 1.0 - r))
+    return r, tuple(lambda P, b=b: np.column_stack((P[:, :2], r * P[:, 2] + b))
+                    for b in (0.0, 1.0 - r))
 
 
-def ifs_cloud(maps, depth: int, seed_point: Point = ORIGIN, *,
-              source: dict | None = None, err_xy: float = 0.0,
+def ifs_cloud(maps, depth: int, *, source: dict | None = None, err_xy: float = 0.0,
               err_t: float = 0.0) -> WeightedCloud:
-    """Full address enumeration to the given depth: one point per length-`depth`
-    word, uniform weights (len(maps))^(-depth). Point order is word-lexicographic
-    with the outermost map as the most significant digit."""
+    """Full address enumeration from the origin to the given depth: one point per
+    length-`depth` word, uniform weights (len(maps))^(-depth). Point order is
+    word-lexicographic with the outermost map as the most significant digit."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     count = len(maps) ** depth
     if count > MAX_POINTS:
         raise ResourceLimitError(f"depth {depth} needs {count} points (limit {MAX_POINTS})")
-    pts = seed_point.as_array().reshape(1, 3)
+    pts = np.zeros((1, 3))
     for _ in range(depth):
-        pts = np.vstack([m.apply_many(pts) for m in maps])
+        pts = np.vstack([m(pts) for m in maps])
     w = np.full(count, float(len(maps)) ** (-depth))
     return WeightedCloud(
         points=pts,
@@ -384,8 +328,7 @@ def _hsquare_cell_extents(depth: int, hull_xy: float, hull_t: float) -> tuple[fl
 
 def hsquare_cloud(depth: int) -> WeightedCloud:
     """Depth-`depth` address cloud of the Heisenberg square attractor."""
-    cloud = ifs_cloud(hsquare_ifs(), depth, ORIGIN,
-                      source={"kind": "hsquare", "depth": depth})
+    cloud = ifs_cloud(hsquare_ifs(), depth, source={"kind": "hsquare", "depth": depth})
     t_span = float(cloud.points[:, 2].max() - cloud.points[:, 2].min()) if len(cloud) > 1 else 1.0
     X, T = _hsquare_cell_extents(depth, math.sqrt(2.0), t_span + 1.0)
     cloud.err_xy = 0.5 * X
@@ -395,10 +338,9 @@ def hsquare_cloud(depth: int) -> WeightedCloud:
 
 def cantor_cloud(d: float, depth: int) -> WeightedCloud:
     """Depth-`depth` address cloud of the t-axis Cantor set with dimension d."""
-    params, maps = cantor_ifs(d)
-    return ifs_cloud(maps, depth, ORIGIN,
-                     source={"kind": "cantor", "d": d, "depth": depth},
-                     err_t=0.5 * params.ratio**depth)
+    r, maps = cantor_ifs(d)
+    return ifs_cloud(maps, depth, source={"kind": "cantor", "d": d, "depth": depth},
+                     err_t=0.5 * r**depth)
 
 
 def product_cloud(qh: WeightedCloud, cantor: WeightedCloud) -> WeightedCloud:

@@ -193,6 +193,8 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     mask passes cost about the ball's share of the cloud, not all of it.
     """
     radii = _checked_radii(radii)
+    if not base_points:
+        raise ValueError("the density scan needs at least one base point")
     e_ball = cloud.placement_error
     point_series: list[PointSeries] = []
     best_min = (math.inf, None, None)
@@ -331,13 +333,13 @@ def ex2_windows(M: float, level: int) -> range:
     return range(k0, level)
 
 
-def ex2_default_radii(M: float, level: int, per_window: int = 4) -> list[float]:
-    """Radii in the lower part [2^(1-k), 1.3 * 2^(1-k)] of each valid window;
+def ex2_default_radii(M: float, level: int) -> list[float]:
+    """Four radii in the lower part [2^(1-k), 1.3 * 2^(1-k)] of each valid window;
     there the sibling rectangle clears the quadratic neighborhood for every
     base point, including the plane-distance normalization up to sqrt(5)."""
     out = []
     for k in ex2_windows(M, level):
-        out.extend(np.geomspace(2.0 ** (1 - k), 1.3 * 2.0 ** (1 - k), per_window))
+        out.extend(np.geomspace(2.0 ** (1 - k), 1.3 * 2.0 ** (1 - k), 4))
     return sorted(out, reverse=True)
 
 
@@ -379,20 +381,17 @@ def _annulus_min_ratio(t_values: np.ndarray, weights: np.ndarray, centers: np.nd
     return worst
 
 
-def estimate_annulus_constants(cantor: WeightedCloud, radii, d: float,
-                               c0_grid=None, panel: int = 24) -> tuple[float, float]:
-    """Largest c0 from the grid {2^-j / 4} such that the annulus
-    c0*r <= |t'' - t'| <= r/4 carries mass at least c_d * r^d for every probed
-    center and radius, together with that observed c_d. Returns (0, 0) when no
-    candidate works."""
-    if c0_grid is None:
-        c0_grid = [0.25 * 2.0**-j for j in range(11)]
+def estimate_annulus_constants(cantor: WeightedCloud, radii, d: float) -> tuple[float, float]:
+    """Largest c0 from the grid {2^-j / 4 : j = 0..10} such that the annulus
+    c0*r <= |t'' - t'| <= r/4 carries mass at least c_d * r^d for every radius
+    and for 24 centers strided through the cloud, together with that observed
+    c_d. Returns (0, 0) when no candidate works."""
     radii = [r for r in radii if 0.0 < r < 1.0]
     if not radii:
         raise ValueError("annulus estimation needs radii inside (0, 1)")
     t_values = cantor.points[:, 2]
-    centers = t_values[_strided(len(t_values), panel)]
-    for c0 in sorted(c0_grid, reverse=True):
+    centers = t_values[_strided(len(t_values), 24)]
+    for c0 in (0.25 * 2.0**-j for j in range(11)):
         cd = _annulus_min_ratio(t_values, cantor.weights, centers, radii, c0, d)
         if cd > 0.0:
             return c0, cd

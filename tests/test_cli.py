@@ -179,6 +179,49 @@ def test_density_sidecar_without_parameter_exits_2(tmp_path, capsys, construct, 
     assert err.count("\n") == 1 and f"number {key}" in err
 
 
+@pytest.mark.parametrize("construct, probe, radii", [
+    (("--set", "ex1", "--level", "3"), "ex1", ()),
+    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", ()),
+    (("--set", "tseg", "--points", "500"), "thm1", ("--radii", "0.1")),
+], ids=["ex1", "ex2", "thm1"])
+def test_density_empty_panel_exits_2(tmp_path, capsys, construct, probe, radii):
+    # an empty panel used to pass every gate and write Infinity into the JSON
+    cloud_path = tmp_path / "c.csv"
+    assert run("construct", *construct, "--out", cloud_path) == 0
+    capsys.readouterr()
+    code = run("density", "--in", cloud_path, "--probe", probe, *radii, "--base-count", "0",
+               "--out", tmp_path / "p.json", "--assert")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at least one base point" in err
+
+
+@pytest.mark.parametrize("point", ["0,0", "0,0,0,1"])
+def test_density_base_point_needs_three_fields(tmp_path, capsys, point):
+    tseg_path = tmp_path / "tseg.csv"
+    run("construct", "--set", "tseg", "--points", "500", "--out", tseg_path)
+    capsys.readouterr()
+    code = run("density", "--in", tseg_path, "--probe", "thm2", "--radii", "0.1",
+               "--base-point", point, "--out", tmp_path / "p.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--base-point" in err
+
+
+def test_density_ex3_rejects_base_point(tmp_path, capsys):
+    # the ex3 probe picks its own panel, so a --base-point was silently ignored
+    fs_path, cantor_path = tmp_path / "fs.csv", tmp_path / "cantor.csv"
+    run("construct", "--set", "fs", "--d", "0.5", "--depth", "3", "--cantor-depth", "4",
+        "--out", fs_path)
+    run("construct", "--set", "cantor", "--d", "0.5", "--depth", "4", "--out", cantor_path)
+    capsys.readouterr()
+    code = run("density", "--in", fs_path, "--probe", "ex3", "--cantor-in", cantor_path,
+               "--base-point", "0.3,0.3,0.1", "--out", tmp_path / "p.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--base-point" in err
+
+
 def test_density_ex1_assert_gate(tmp_path):
     cloud_path = tmp_path / "ex1.csv"
     run("construct", "--set", "ex1", "--level", "3", "--samples-per-rect", "8",

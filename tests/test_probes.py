@@ -273,6 +273,15 @@ def test_scan_density_rejects_bad_radii(radii):
         ex3_probe(0.5, 1, 2, radii)  # before the annulus estimate
 
 
+def test_scan_density_rejects_empty_panel():
+    # an empty panel used to report min_ratio inf and max_ratio -inf
+    tseg = segment_cloud("t", -1.0, 1.0, 100)
+    with pytest.raises(ValueError, match="at least one base point"):
+        scan_density(tseg, [], [0.1], Linear(0.25), 1.0, "(2r)^s", probe="thm2")
+    with pytest.raises(ValueError, match="at least one base point"):
+        ex1_probe(3, base_count=0)
+
+
 def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, extra=None):
     """The unpruned radius loop: every mask runs on the whole cloud."""
     radii = sorted((float(r) for r in radii), reverse=True)
