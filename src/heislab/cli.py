@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -81,18 +82,25 @@ def _radii_from_args(args) -> list[float] | None:
     return _parse_floats(args.radii)
 
 
-def _source_param(cloud, probe: str, key: str) -> float:
+def _source_param(cloud, probe: str, key: str):
+    """The construction parameter `key` from the cloud's sidecar source: the
+    family level as an integer, M and d as floats."""
+    need, convert = ("an integer", operator.index) if key == "level" else ("a number", float)
     try:
-        return float(cloud.source[key])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"probe {probe} needs a number {key} in the sidecar source") from None
+        return convert(cloud.source[key])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError(f"probe {probe} needs {need} {key} in the sidecar source") from None
 
 
 def _base_points(args, cloud, family=None, x_max=None) -> list[Point]:
     if args.base_point:
-        points = [_parse_floats(s) for s in args.base_point]
+        bad = ValueError(f"--base-point takes three numbers x,y,t, got {args.base_point}")
+        try:
+            points = [_parse_floats(s) for s in args.base_point]
+        except ValueError:
+            raise bad from None
         if any(len(p) != 3 for p in points):
-            raise ValueError(f"--base-point takes three numbers x,y,t, got {args.base_point}")
+            raise bad
         return [Point(*p) for p in points]
     if family is not None:
         return panel_from_rects(family, args.base_count, x_max=x_max)
@@ -178,19 +186,22 @@ def cmd_density(args) -> int:
         raise ValueError(f"probe {probe} needs a {need!r} cloud, got {kind!r}")
     if probe in ("thm1", "thm2") and radii is None:
         raise ValueError(f"probe {probe} needs radii (--radii or --r-min/--r-max)")
+    if args.base_count < 1 and not args.base_point:
+        raise ValueError(f"--base-count {args.base_count}: a probe needs at least one base point")
     if probe == "ex1":
+        level = _source_param(cloud, probe, "level")
         params = Example1()
-        family = build_family(params, cloud.level)
-        h_by_level = {k: level_sides(params, k)[0] for k in range(cloud.level + 1)}
+        family = build_family(params, level)
+        h_by_level = {k: level_sides(params, k)[0] for k in range(level + 1)}
         bases = _base_points(args, cloud, family, x_max=EX1_PANEL_X_MAX)
-        result = ex1_scan(cloud, h_by_level, range(1, cloud.level), bases)
+        result = ex1_scan(cloud, h_by_level, range(1, level), bases)
     elif probe == "ex2":
-        M = _source_param(cloud, probe, "M")
-        family = build_family(Example2(M), cloud.level)
+        M, level = _source_param(cloud, probe, "M"), _source_param(cloud, probe, "level")
+        family = build_family(Example2(M), level)
         bases = _base_points(args, cloud, family)
         if radii is None:
-            radii = ex2_default_radii(M, cloud.level)
-        result = ex2_scan(cloud, M, cloud.level, radii, bases)
+            radii = ex2_default_radii(M, level)
+        result = ex2_scan(cloud, M, level, radii, bases)
     elif probe == "ex3":
         d = _source_param(cloud, probe, "d")
         if not args.cantor_in:

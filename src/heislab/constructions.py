@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -163,17 +163,15 @@ def level_sides(params: ExampleParams, k: int) -> tuple[float, float]:
 @dataclass(slots=True)
 class WeightedCloud:
     """Finite prefractal approximation: points, per-point measure weights, and
-    provenance metadata. `err_xy` and `err_t` bound the horizontal and vertical
-    distance from each point to the piece of the true set it represents;
-    `placement_error` is the combined Euclidean bound."""
+    the construction descriptor `source`, the one record of the parameters the
+    cloud was built from. `err_xy` and `err_t` bound the horizontal and
+    vertical distance from each point to the piece of the true set it
+    represents; `placement_error` is the combined Euclidean bound."""
 
     points: np.ndarray
     weights: np.ndarray
     total_mass: float
-    level: int
     source: dict
-    h: float | None = None
-    v: float | None = None
     err_xy: float = 0.0
     err_t: float = 0.0
 
@@ -230,10 +228,7 @@ def family_cloud(family: RectFamily, samples_per_rect: int, kind: str,
         points=pts,
         weights=w,
         total_mass=n * family.h,
-        level=family.level,
         source=source,
-        h=family.h,
-        v=family.v,
         err_xy=0.5 * spacing,
         err_t=0.5 * family.v,
     )
@@ -262,7 +257,6 @@ def segment_cloud(axis: str, lo: float, hi: float, n: int) -> WeightedCloud:
         points=pts,
         weights=np.full(n, length / n),
         total_mass=length,
-        level=0,
         source={"kind": f"{axis}seg", "lo": lo, "hi": hi, "n": n},
         err_xy=spacing if axis == "x" else 0.0,
         err_t=spacing if axis == "t" else 0.0,
@@ -292,8 +286,7 @@ def cantor_ifs(d: float) -> tuple[float, tuple]:
                     for b in (0.0, 1.0 - r))
 
 
-def ifs_cloud(maps, depth: int, *, source: dict | None = None, err_xy: float = 0.0,
-              err_t: float = 0.0) -> WeightedCloud:
+def ifs_cloud(maps, depth: int, *, source: dict | None = None, err_t: float = 0.0) -> WeightedCloud:
     """Full address enumeration from the origin to the given depth: one point per
     length-`depth` word, uniform weights (len(maps))^(-depth). Point order is
     word-lexicographic with the outermost map as the most significant digit."""
@@ -310,9 +303,7 @@ def ifs_cloud(maps, depth: int, *, source: dict | None = None, err_xy: float = 0
         points=pts,
         weights=w,
         total_mass=1.0,
-        level=depth,
         source=source or {"kind": "ifs", "depth": depth},
-        err_xy=err_xy,
         err_t=err_t,
     )
 
@@ -331,9 +322,7 @@ def hsquare_cloud(depth: int) -> WeightedCloud:
     cloud = ifs_cloud(hsquare_ifs(), depth, source={"kind": "hsquare", "depth": depth})
     t_span = float(cloud.points[:, 2].max() - cloud.points[:, 2].min()) if len(cloud) > 1 else 1.0
     X, T = _hsquare_cell_extents(depth, math.sqrt(2.0), t_span + 1.0)
-    cloud.err_xy = 0.5 * X
-    cloud.err_t = 0.5 * T
-    return cloud
+    return replace(cloud, err_xy=0.5 * X, err_t=0.5 * T)
 
 
 def cantor_cloud(d: float, depth: int) -> WeightedCloud:
@@ -359,12 +348,11 @@ def product_cloud(qh: WeightedCloud, cantor: WeightedCloud) -> WeightedCloud:
         points=pts,
         weights=w,
         total_mass=qh.total_mass * cantor.total_mass,
-        level=qh.level,
         source={
             "kind": "fs",
             "d": d,
-            "qh_depth": qh.source.get("depth", qh.level),
-            "cantor_depth": cantor.source.get("depth", cantor.level),
+            "qh_depth": qh.source.get("depth"),
+            "cantor_depth": cantor.source.get("depth"),
         },
         err_xy=qh.err_xy + cantor.err_xy,
         err_t=qh.err_t + cantor.err_t,
@@ -429,38 +417,32 @@ def save_cloud(cloud: WeightedCloud, path) -> None:
             block = data[start:start + SAVE_BLOCK_ROWS]
             fh.write(("%s,%s,%s,%s\r\n" * len(block)) % tuple(map(repr, block.ravel().tolist())))
     tmp.replace(path)
-    meta = {
-        "source": cloud.source,
-        "level": cloud.level,
-        "total_mass": cloud.total_mass,
-        "h": cloud.h,
-        "v": cloud.v,
-        "vertical_placement_error": (cloud.v / 2.0) if cloud.v is not None else None,
-        "placement_error": cloud.placement_error,
-        "err_xy": cloud.err_xy,
-        "err_t": cloud.err_t,
-    }
+    meta = {"source": cloud.source, "total_mass": cloud.total_mass,
+            "err_xy": cloud.err_xy, "err_t": cloud.err_t}
     write_json(meta, sidecar_path(path))
 
 
 def _read_sidecar(mpath: Path) -> dict:
+    """The sidecar's source, total_mass, err_xy and err_t; other keys (sidecars
+    written by older versions also hold level, h, v and derived errors) are
+    ignored."""
     try:
         meta = json.loads(mpath.read_text())
     except ValueError as exc:
         raise ValueError(f"{mpath}: sidecar is not valid JSON ({exc})") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{mpath}: sidecar must be a JSON object")
-    missing = [key for key in ("source", "level", "total_mass") if key not in meta]
+    missing = [key for key in ("source", "total_mass") if key not in meta]
     if missing:
         raise ValueError(f"{mpath}: sidecar lacks {', '.join(missing)}")
     if not isinstance(meta["source"], dict):
         raise ValueError(f"{mpath}: sidecar source must be a JSON object")
     try:
-        meta["total_mass"], meta["level"] = float(meta["total_mass"]), int(meta["level"])
+        meta["total_mass"] = float(meta["total_mass"])
         for key in ("err_xy", "err_t"):
             meta[key] = float(meta.get(key) or 0.0)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{mpath}: sidecar level, total_mass, err_xy and err_t must be "
+        raise ValueError(f"{mpath}: sidecar total_mass, err_xy and err_t must be "
                          f"numbers") from None
     return meta
 
@@ -492,17 +474,14 @@ def load_cloud(path) -> WeightedCloud:
     if mpath.exists():
         meta = _read_sidecar(mpath)
     else:
-        meta = {"source": {"kind": "unknown"}, "level": 0, "total_mass": float(data[:, 3].sum()),
+        meta = {"source": {"kind": "unknown"}, "total_mass": float(data[:, 3].sum()),
                 "err_xy": 0.0, "err_t": 0.0}
     try:
         return WeightedCloud(
             points=data[:, :3],
             weights=data[:, 3],
             total_mass=meta["total_mass"],
-            level=meta["level"],
             source=meta["source"],
-            h=meta.get("h"),
-            v=meta.get("v"),
             err_xy=meta["err_xy"],
             err_t=meta["err_t"],
         )

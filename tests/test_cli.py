@@ -159,44 +159,55 @@ def test_density_ex1_needs_level_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "no admissible k" in err and "level >= 2" in err
 
 
-@pytest.mark.parametrize("construct, probe, key", [
-    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", "M"),
-    (("--set", "fs", "--d", "0.5", "--depth", "2", "--cantor-depth", "4"), "ex3", "d"),
-], ids=["ex2-no-M", "fs-no-d"])
-def test_density_sidecar_without_parameter_exits_2(tmp_path, capsys, construct, probe, key):
+@pytest.mark.parametrize("construct, probe, key, value", [
+    (("--set", "ex1", "--level", "3"), "ex1", "level", None),
+    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", "level", None),
+    (("--set", "ex1", "--level", "3"), "ex1", "level", 2.5),
+    (("--set", "ex1", "--level", "3"), "ex1", "level", "3"),
+    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", "M", None),
+    (("--set", "fs", "--d", "0.5", "--depth", "2", "--cantor-depth", "4"), "ex3", "d", None),
+], ids=["ex1-no-level", "ex2-no-level", "ex1-fractional-level", "ex1-string-level",
+        "ex2-no-M", "fs-no-d"])
+def test_density_sidecar_without_parameter_exits_2(tmp_path, capsys, construct, probe, key,
+                                                   value):
+    # None deletes the key; the level counts subdivisions, so it must be a JSON integer
     cloud_path, cantor_path = tmp_path / "c.csv", tmp_path / "cantor.csv"
     run("construct", *construct, "--out", cloud_path)
     run("construct", "--set", "cantor", "--d", "0.5", "--depth", "4", "--out", cantor_path)
     meta_path = tmp_path / "c.meta.json"
     meta = json.loads(meta_path.read_text())
-    del meta["source"][key]
+    if value is None:
+        del meta["source"][key]
+    else:
+        meta["source"][key] = value
     meta_path.write_text(json.dumps(meta))
     capsys.readouterr()
     code = run("density", "--in", cloud_path, "--probe", probe, "--cantor-in", cantor_path,
                "--out", tmp_path / "p.json")
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"number {key}" in err
+    assert err.count("\n") == 1 and f" {key} in the sidecar source" in err
 
 
-@pytest.mark.parametrize("construct, probe, radii", [
-    (("--set", "ex1", "--level", "3"), "ex1", ()),
-    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", ()),
-    (("--set", "tseg", "--points", "500"), "thm1", ("--radii", "0.1")),
-], ids=["ex1", "ex2", "thm1"])
-def test_density_empty_panel_exits_2(tmp_path, capsys, construct, probe, radii):
+@pytest.mark.parametrize("construct, probe, radii, count", [
+    (("--set", "ex1", "--level", "3"), "ex1", (), "0"),
+    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", (), "0"),
+    (("--set", "tseg", "--points", "500"), "thm1", ("--radii", "0.1"), "0"),
+    (("--set", "tseg", "--points", "500"), "thm2", ("--radii", "0.1"), "-2"),
+], ids=["ex1", "ex2", "thm1", "thm2-negative"])
+def test_density_empty_panel_exits_2(tmp_path, capsys, construct, probe, radii, count):
     # an empty panel used to pass every gate and write Infinity into the JSON
     cloud_path = tmp_path / "c.csv"
     assert run("construct", *construct, "--out", cloud_path) == 0
     capsys.readouterr()
-    code = run("density", "--in", cloud_path, "--probe", probe, *radii, "--base-count", "0",
+    code = run("density", "--in", cloud_path, "--probe", probe, *radii, "--base-count", count,
                "--out", tmp_path / "p.json", "--assert")
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "at least one base point" in err
+    assert err.count("\n") == 1 and "--base-count" in err and "at least one base point" in err
 
 
-@pytest.mark.parametrize("point", ["0,0", "0,0,0,1"])
+@pytest.mark.parametrize("point", ["0,0", "0,0,0,1", "abc,0,0"])
 def test_density_base_point_needs_three_fields(tmp_path, capsys, point):
     tseg_path = tmp_path / "tseg.csv"
     run("construct", "--set", "tseg", "--points", "500", "--out", tseg_path)
@@ -463,15 +474,15 @@ def test_dimension_lattice_resource_limit_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("sidecar, message", [
     ("{oops", "not valid JSON"),
     ("[1, 2]", "JSON object"),
-    ('{"level": 3, "total_mass": 1.0}', "lacks source"),
-    ('{"source": {"kind": "cantor"}, "total_mass": 1.0}', "lacks level"),
-    ('{"source": {"kind": "cantor"}, "level": 3}', "lacks total_mass"),
-    ('{"source": "cantor", "level": 3, "total_mass": 1.0}', "source must be"),
-    ('{"source": {"kind": "cantor"}, "level": [3], "total_mass": 1.0}', "must be numbers"),
-    ('{"source": {}, "level": 3, "total_mass": 1.0, "err_t": "x"}', "must be numbers"),
-    ('{"source": {}, "level": 1e999, "total_mass": 1.0}', "must be numbers"),
-], ids=["not-json", "list", "no-source", "no-level", "no-total-mass", "string-source",
-        "list-level", "string-err", "infinite-level"])
+    ('{"total_mass": 1.0}', "lacks source"),
+    ('{}', "lacks source, total_mass"),
+    ('{"source": {"kind": "cantor"}}', "lacks total_mass"),
+    ('{"source": "cantor", "total_mass": 1.0}', "source must be"),
+    ('{"source": {"kind": "cantor"}, "total_mass": [1.0]}', "must be numbers"),
+    ('{"source": {}, "total_mass": 1.0, "err_t": "x"}', "must be numbers"),
+    ('{"source": {}, "total_mass": 1' + "0" * 400 + '}', "must be numbers"),
+], ids=["not-json", "list", "no-source", "no-source-no-mass", "no-total-mass",
+        "string-source", "list-mass", "string-err", "overflowing-mass"])
 def test_malformed_sidecar_exits_2(tmp_path, capsys, sidecar, message):
     cloud_path = tmp_path / "c.csv"
     run("construct", "--set", "cantor", "--d", "0.5", "--depth", "3", "--out", cloud_path)
@@ -498,6 +509,35 @@ def test_missing_sidecar_loads_as_unknown(tmp_path, capsys):
     assert run("density", "--in", cloud_path, "--probe", "ex1",
                "--out", tmp_path / "r.json") == 2
     assert "'unknown'" in capsys.readouterr().err
+
+
+# the sidecar of `construct --set ex1 --level 3` in the format before level, h,
+# v and the derived errors were dropped from it
+OLD_EX1_SIDECAR = {
+    "err_t": 7.62939453125e-06,
+    "err_xy": 0.001953125,
+    "h": 0.00390625,
+    "level": 3,
+    "placement_error": 0.001953139901104351,
+    "source": {"kind": "ex1", "level": 3, "samples_per_rect": 1},
+    "total_mass": 1.0,
+    "v": 1.52587890625e-05,
+    "vertical_placement_error": 7.62939453125e-06,
+}
+
+
+def test_old_format_sidecar_gives_the_same_ex1_probe(tmp_path, capsys):
+    cloud_path = tmp_path / "ex1.csv"
+    meta_path = tmp_path / "ex1.meta.json"
+    assert run("construct", "--set", "ex1", "--level", "3", "--out", cloud_path) == 0
+    assert run("density", "--in", cloud_path, "--probe", "ex1",
+               "--out", tmp_path / "new.json") == 0
+    # a top-level level that disagrees with the source is not read either
+    for i, level in enumerate((3, 2)):
+        meta_path.write_text(json.dumps(dict(OLD_EX1_SIDECAR, level=level)))
+        out = tmp_path / f"old{i}.json"
+        assert run("density", "--in", cloud_path, "--probe", "ex1", "--out", out) == 0
+        assert out.read_bytes() == (tmp_path / "new.json").read_bytes()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

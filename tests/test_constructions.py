@@ -193,7 +193,7 @@ def test_family_cloud_masses():
 def test_family_cloud_metadata():
     fam = build_family(Example1(), 2)
     cloud = family_cloud(fam, 4, kind="ex1")
-    assert cloud.h == fam.h and cloud.v == fam.v
+    assert cloud.source == {"kind": "ex1", "level": 2, "samples_per_rect": 4}
     assert cloud.err_t == fam.v / 2
     assert cloud.err_xy == fam.h / 8
 
@@ -349,15 +349,15 @@ def test_cloud_weight_mass_consistency_enforced():
 
     with pytest.raises(ValueError):
         WeightedCloud(points=np.zeros((2, 3)), weights=np.array([0.5, 0.5]),
-                      total_mass=2.0, level=0, source={})
+                      total_mass=2.0, source={})
     with pytest.raises(ValueError):
         WeightedCloud(points=np.zeros((2, 3)), weights=np.array([0.5, -0.5]),
-                      total_mass=0.0, level=0, source={})
+                      total_mass=0.0, source={})
     # the density scan prunes rows by placement error, so it must be a finite bound
     for err in ({"err_xy": math.nan}, {"err_t": math.inf}, {"err_t": -0.1}):
         with pytest.raises(ValueError, match="placement errors"):
             WeightedCloud(points=np.zeros((2, 3)), weights=np.array([0.5, 0.5]),
-                          total_mass=1.0, level=0, source={}, **err)
+                          total_mass=1.0, source={}, **err)
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -369,9 +369,9 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(cloud.weights, again.weights)
     assert again.total_mass == cloud.total_mass
     assert again.source == cloud.source
-    assert again.h == cloud.h and again.v == cloud.v
+    assert (again.err_xy, again.err_t) == (cloud.err_xy, cloud.err_t)
     meta = json.loads((tmp_path / "c.meta.json").read_text())
-    assert meta["vertical_placement_error"] == cloud.v / 2
+    assert sorted(meta) == ["err_t", "err_xy", "source", "total_mass"]
 
 
 def _save_ref(cloud, path):
@@ -394,7 +394,7 @@ def test_save_cloud_bytes_and_bits(tmp_path):
     points[-len(special):, 1] = special
     weights[:6] = [-0.0, 5e-324, 1e-300, 0.1, 3.0, 0.0]
     cloud = WeightedCloud(points=points, weights=weights, total_mass=float(weights.sum()),
-                          level=0, source={"kind": "unknown"})
+                          source={"kind": "unknown"})
     path, ref = tmp_path / "c.csv", tmp_path / "ref.csv"
     save_cloud(cloud, path)
     _save_ref(cloud, ref)

@@ -27,7 +27,7 @@ def _cloud_from_points(pts):
     pts = np.asarray(pts, dtype=float)
     n = len(pts)
     return WeightedCloud(points=pts, weights=np.full(n, 1.0 / n), total_mass=1.0,
-                         level=0, source={"kind": "raw"})
+                         source={"kind": "raw"})
 
 
 def test_single_point_net():
@@ -281,8 +281,7 @@ def test_euclidean_counts_below_gauge_counts_on_vertical_plane_cloud():
     fam_small = type(fam)(level=fam.level, rects=sub, h=fam.h, v=fam.v)
     cloud = family_cloud(fam_small, 2, kind="ex1")
     cloud = WeightedCloud(points=cloud.points, weights=cloud.weights,
-                          total_mass=cloud.total_mass, level=cloud.level,
-                          source=cloud.source)
+                          total_mass=cloud.total_mass, source=cloud.source)
     idx = np.random.default_rng(0).integers(0, len(cloud), size=(400, 2))
     dE = dist_pairs(cloud.points[idx[:, 0]], cloud.points[idx[:, 1]], E)
     dH = dist_pairs(cloud.points[idx[:, 0]], cloud.points[idx[:, 1]], H)

@@ -380,7 +380,7 @@ def test_pruned_scan_rounding_edges():
     t = np.concatenate([np.linspace(-1.0, 1.0, 201), [d_a, -d_b]])
     points = np.column_stack([np.zeros_like(t), np.zeros_like(t), t])
     weights = np.full(len(t), 1.0 / len(t))
-    cloud = WeightedCloud(points, weights, float(weights.sum()), 0, {"kind": "edge"}, err_t=e)
+    cloud = WeightedCloud(points, weights, float(weights.sum()), {"kind": "edge"}, err_t=e)
     assert cloud.placement_error == e
     assert dist_many(cloud.points, O, E)[-2] == d_a
     # row a counts in the sphere band at r_a, row b in the slab band at r_b
