@@ -1,68 +1,1 @@
 """Point-cloud geometry lab for the first Heisenberg group."""
-
-from .hgeom import (
-    ORIGIN,
-    HorizontalPlane,
-    MetricKind,
-    Point,
-    beta_minus,
-    beta_plus,
-    dilate,
-    dist,
-    dist_to_plane,
-    group_inv,
-    group_mul,
-    in_neighborhood,
-    plane_residual,
-)
-from .constructions import (
-    Example1,
-    Example2,
-    RectFamily,
-    ResourceLimitError,
-    WeightedCloud,
-    build_family,
-    cantor_cloud,
-    cantor_ifs,
-    example_cloud,
-    expected_dims,
-    family_cloud,
-    hsquare_cloud,
-    hsquare_ifs,
-    ifs_cloud,
-    level_sides,
-    load_cloud,
-    product_cloud,
-    save_cloud,
-    segment_cloud,
-    subdivide_rect,
-)
-from .dimension import (
-    ComparisonReport,
-    DimensionEstimate,
-    NetCount,
-    check_dimension_inequalities,
-    delta_ladder,
-    estimate_dimension,
-    fit_metric_comparison,
-    greedy_net,
-    net_counts,
-)
-from .probes import (
-    Fixed,
-    Linear,
-    PowerLaw,
-    ProbeResult,
-    Quadratic,
-    SandwichReport,
-    density_ratio,
-    ex1_probe,
-    ex2_probe,
-    ex3_probe,
-    mass_split,
-    sandwich_sample,
-    thm1_scan,
-    thm2_scan,
-)
-
-__version__ = "0.1.0"

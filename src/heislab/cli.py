@@ -60,8 +60,20 @@ RESOURCE_ERROR = 3
 ASSERT_ERROR = 4
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _numbers(text: str) -> list[float]:
+    """A comma-separated list of numbers; empty fields are skipped."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
+
+
+def _point(text: str) -> Point:
+    """x,y,t: three finite numbers."""
+    try:
+        return Point(*_numbers(text))
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"not three finite numbers x,y,t: {text!r}") from None
 
 
 def _radii_from_args(args) -> list[float] | None:
@@ -79,7 +91,7 @@ def _radii_from_args(args) -> list[float] | None:
         raise ValueError("--radii excludes --r-min/--r-max")
     if args.radii is None:
         return None if args.r_min is None else delta_ladder(args.r_max, args.r_min, args.r_count)
-    return _parse_floats(args.radii)
+    return args.radii
 
 
 def _source_param(cloud, probe: str, key: str):
@@ -94,14 +106,7 @@ def _source_param(cloud, probe: str, key: str):
 
 def _base_points(args, cloud, family=None, x_max=None) -> list[Point]:
     if args.base_point:
-        bad = ValueError(f"--base-point takes three numbers x,y,t, got {args.base_point}")
-        try:
-            points = [_parse_floats(s) for s in args.base_point]
-        except ValueError:
-            raise bad from None
-        if any(len(p) != 3 for p in points):
-            raise bad
-        return [Point(*p) for p in points]
+        return args.base_point
     if family is not None:
         return panel_from_rects(family, args.base_count, x_max=x_max)
     return panel_from_cloud(cloud, args.base_count)
@@ -230,7 +235,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
-    rep = sandwich_sample(args.R, _parse_floats(args.r_values), args.samples, args.seed)
+    rep = sandwich_sample(args.R, args.r_values, args.samples, args.seed)
     write_json(sandwich_report_to_dict(rep), args.out)
     print(f"inner violations {rep.inner_violations}, outer violations {rep.outer_violations}")
     if args.do_assert and (rep.inner_violations or rep.outer_violations):
@@ -301,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--radii")
+    p.add_argument("--radii", type=_numbers)
     p.add_argument("--r-min", type=float)
     p.add_argument("--r-max", type=float)
     p.add_argument("--r-count", type=int)
     p.add_argument("--base-count", type=int, default=12)
-    p.add_argument("--base-point", action="append")
+    p.add_argument("--base-point", action="append", type=_point)
     p.add_argument("--cantor-in")
     p.add_argument("--out", required=True)
     p.add_argument("--assert", dest="do_assert", action="store_true")
@@ -316,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--R", type=float, required=True)
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--r-values", default="1,0.3,0.1")
+    s.add_argument("--r-values", type=_numbers, default="1,0.3,0.1")
     s.add_argument("--out", required=True)
     s.add_argument("--assert", dest="do_assert", action="store_true")
     s.set_defaults(func=cmd_sandwich)

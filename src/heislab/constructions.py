@@ -437,13 +437,15 @@ def _read_sidecar(mpath: Path) -> dict:
         raise ValueError(f"{mpath}: sidecar lacks {', '.join(missing)}")
     if not isinstance(meta["source"], dict):
         raise ValueError(f"{mpath}: sidecar source must be a JSON object")
-    try:
-        meta["total_mass"] = float(meta["total_mass"])
-        for key in ("err_xy", "err_t"):
-            meta[key] = float(meta.get(key) or 0.0)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{mpath}: sidecar total_mass, err_xy and err_t must be "
-                         f"numbers") from None
+    bad = ValueError(f"{mpath}: sidecar total_mass, err_xy and err_t must be numbers")
+    for key in ("total_mass", "err_xy", "err_t"):
+        value = meta.get(key, 0.0)  # only the error bounds may be absent
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise bad
+        try:
+            meta[key] = float(value)
+        except OverflowError:
+            raise bad from None
     return meta
 
 

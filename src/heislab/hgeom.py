@@ -55,69 +55,9 @@ class Point:
         return Point(float(a[0]), float(a[1]), float(a[2]))
 
 
-ORIGIN = Point(0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True, slots=True)
-class HorizontalPlane:
-    """The horizontal plane through its base point."""
-
-    base: Point
-
-    def normal_scale(self) -> float:
-        """sqrt(1 + 4(x0^2 + y0^2)), the Euclidean norm of the plane normal."""
-        b = self.base
-        return math.sqrt(1.0 + 4.0 * (b.x * b.x + b.y * b.y))
-
-
-def group_mul(p: Point, q: Point) -> Point:
-    """Group product p * q (non-commutative)."""
-    return Point(
-        p.x + q.x,
-        p.y + q.y,
-        p.t + q.t + 2.0 * (p.x * q.y - q.x * p.y),
-    )
-
-
-def group_inv(p: Point) -> Point:
-    """Group inverse; coordinate negation, since the twist vanishes on (p, p^-1)."""
-    return Point(-p.x, -p.y, -p.t)
-
-
-def dilate(p: Point, lam: float) -> Point:
-    """Anisotropic dilation (lx, ly, l^2 t). Requires lam > 0."""
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"dilation factor must be positive and finite, got {lam}")
-    return Point(lam * p.x, lam * p.y, lam * lam * p.t)
-
-
-def dist(p: Point, q: Point, metric: MetricKind) -> float:
-    """Distance between p and q in the requested metric."""
-    if metric is MetricKind.EUCLIDEAN:
-        return math.hypot(p.x - q.x, p.y - q.y, p.t - q.t)
-    dx = p.x - q.x
-    dy = p.y - q.y
-    horiz = dx * dx + dy * dy
-    tw = plane_residual(q, HorizontalPlane(p))
-    return (horiz * horiz + tw * tw) ** 0.25
-
-
-def plane_residual(q: Point, plane: HorizontalPlane) -> float:
-    """Signed defining expression t0 - t - 2(x*y0 - y*x0); zero iff q lies on the plane."""
-    b = plane.base
-    return b.t - q.t - 2.0 * (q.x * b.y - q.y * b.x)
-
-
-def dist_to_plane(q: Point, plane: HorizontalPlane) -> float:
-    """Euclidean distance from q to the plane."""
-    return abs(plane_residual(q, plane)) / plane.normal_scale()
-
-
-def in_neighborhood(q: Point, plane: HorizontalPlane, rho: float) -> bool:
-    """Membership in the closed Euclidean rho-neighborhood of the plane."""
-    if rho < 0.0 or not math.isfinite(rho):
-        raise ValueError(f"neighborhood radius must be >= 0, got {rho}")
-    return dist_to_plane(q, plane) <= rho
+def normal_scale(p: Point) -> float:
+    """sqrt(1 + 4(x0^2 + y0^2)), the norm of the normal of the horizontal plane through p."""
+    return math.sqrt(1.0 + 4.0 * (p.x * p.x + p.y * p.y))
 
 
 def beta_minus(s: float) -> float:
@@ -181,9 +121,9 @@ def dist_pairs(P, Q, metric: MetricKind) -> np.ndarray:
     return row_dist(as_points_array(P), as_points_array(Q), metric)
 
 
-def plane_dist_many(points, plane: HorizontalPlane) -> np.ndarray:
-    """Euclidean distances from each row of `points` to the plane."""
-    return np.abs(row_twist(as_points_array(points), plane.base.as_array())) / plane.normal_scale()
+def plane_dist_many(points, p: Point) -> np.ndarray:
+    """Euclidean distances from each row of `points` to the horizontal plane through p."""
+    return np.abs(row_twist(as_points_array(points), p.as_array())) / normal_scale(p)
 
 
 def group_mul_many(p: Point, points) -> np.ndarray:

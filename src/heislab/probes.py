@@ -26,10 +26,10 @@ from .constructions import (
     product_cloud,
 )
 from .hgeom import (
-    HorizontalPlane,
     MetricKind,
     Point,
     dist_many,
+    normal_scale,
     plane_dist_many,
     row_dist,
     row_twist,
@@ -141,24 +141,6 @@ def _split(weights: np.ndarray, ball: np.ndarray, near: np.ndarray) -> tuple[flo
     return float(weights[ball & near].sum()), float(weights[ball & ~near].sum())
 
 
-def mass_split(cloud: WeightedCloud, p: Point, r: float, rho: float) -> tuple[float, float]:
-    """Weight of cloud points in the Euclidean r-ball around p, split by whether
-    their distance to the horizontal plane through p is <= rho."""
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    dE = dist_many(cloud.points, p, MetricKind.EUCLIDEAN)
-    pd = plane_dist_many(cloud.points, HorizontalPlane(p))
-    return _split(cloud.weights, dE <= r, pd <= rho)
-
-
-def density_ratio(cloud: WeightedCloud, p: Point, r: float, rho: float, s: float) -> float:
-    """Off-plane mass in the r-ball over (2r)^s."""
-    _, outside = mass_split(cloud, p, r, rho)
-    return outside / (2.0 * r) ** s
-
-
 def _denominator(kind: str, r: float, s: float) -> float:
     if kind == "r^s":
         return r**s
@@ -201,13 +183,12 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     best_max = (-math.inf, None, None)
     err = 0.0
     for p in base_points:
-        plane = HorizontalPlane(p)
         dE = dist_many(cloud.points, p, MetricKind.EUCLIDEAN)
-        pd = plane_dist_many(cloud.points, plane)
+        pd = plane_dist_many(cloud.points, p)
         w = cloud.weights
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
-        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / plane.normal_scale()
+        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p)
         series = []
         for r in radii:
             # both halves: the two float expressions disagree at the edge

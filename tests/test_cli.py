@@ -93,15 +93,22 @@ def test_dimension_default_ladder(tmp_path):
     assert [s["delta"] for s in est["dropped_scales"]] == pytest.approx([0.25, 0.001])
 
 
-@pytest.mark.parametrize("argv", [
-    ("dimension", "--in", "c.csv", "--metric", "euclidean", "--delta-min", "0.05",
-     "--delta-max", "0.4", "--per-decade", "8", "--out", "e.json"),
-    ("density", "--in", "c.csv", "--probe", "ex2", "--M", "3", "--out", "p.json"),
-], ids=["per-decade", "density-M"])
-def test_removed_options_are_usage_errors(argv):
+@pytest.mark.parametrize("argv, option", [
+    (("dimension", "--in", "c.csv", "--metric", "euclidean", "--delta-min", "0.05",
+      "--delta-max", "0.4", "--per-decade", "8", "--out", "e.json"), "--per-decade"),
+    (("density", "--in", "c.csv", "--probe", "ex2", "--M", "3", "--out", "p.json"), "--M"),
+    (("density", "--in", "c.csv", "--probe", "thm2", "--radii", "abc", "--out", "p.json"),
+     "argument --radii"),
+    (("sandwich", "--R", "2", "--samples", "10", "--r-values", "x", "--out", "s.json"),
+     "argument --r-values"),
+], ids=["per-decade", "density-M", "radii-not-numbers", "r-values-not-numbers"])
+def test_removed_options_are_usage_errors(capsys, argv, option):
+    # argparse owns option syntax: it prints the usage, then one error line naming the option
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert " error: " in last and option in last
 
 
 @pytest.mark.parametrize("radii, message", [
@@ -207,16 +214,17 @@ def test_density_empty_panel_exits_2(tmp_path, capsys, construct, probe, radii, 
     assert err.count("\n") == 1 and "--base-count" in err and "at least one base point" in err
 
 
-@pytest.mark.parametrize("point", ["0,0", "0,0,0,1", "abc,0,0"])
+@pytest.mark.parametrize("point", ["0,0", "0,0,0,1", "abc,0,0", "inf,0,0"])
 def test_density_base_point_needs_three_fields(tmp_path, capsys, point):
     tseg_path = tmp_path / "tseg.csv"
     run("construct", "--set", "tseg", "--points", "500", "--out", tseg_path)
     capsys.readouterr()
-    code = run("density", "--in", tseg_path, "--probe", "thm2", "--radii", "0.1",
-               "--base-point", point, "--out", tmp_path / "p.json")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--base-point" in err
+    with pytest.raises(SystemExit) as exc:
+        run("density", "--in", tseg_path, "--probe", "thm2", "--radii", "0.1",
+            "--base-point", point, "--out", tmp_path / "p.json")
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("heislab density: error: argument --base-point: ")
 
 
 def test_density_ex3_rejects_base_point(tmp_path, capsys):
@@ -481,8 +489,15 @@ def test_dimension_lattice_resource_limit_exits_3(tmp_path, capsys):
     ('{"source": {"kind": "cantor"}, "total_mass": [1.0]}', "must be numbers"),
     ('{"source": {}, "total_mass": 1.0, "err_t": "x"}', "must be numbers"),
     ('{"source": {}, "total_mass": 1' + "0" * 400 + '}', "must be numbers"),
+    ('{"source": {}, "total_mass": 1.0, "err_t": []}', "must be numbers"),
+    ('{"source": {}, "total_mass": 1.0, "err_t": ""}', "must be numbers"),
+    ('{"source": {}, "total_mass": 1.0, "err_t": null}', "must be numbers"),
+    ('{"source": {}, "total_mass": 1.0, "err_t": false}', "must be numbers"),
+    ('{"source": {}, "total_mass": true}', "must be numbers"),
+    ('{"source": {}, "total_mass": "1.0"}', "must be numbers"),
 ], ids=["not-json", "list", "no-source", "no-source-no-mass", "no-total-mass",
-        "string-source", "list-mass", "string-err", "overflowing-mass"])
+        "string-source", "list-mass", "string-err", "overflowing-mass", "list-err",
+        "empty-string-err", "null-err", "false-err", "true-mass", "string-mass"])
 def test_malformed_sidecar_exits_2(tmp_path, capsys, sidecar, message):
     cloud_path = tmp_path / "c.csv"
     run("construct", "--set", "cantor", "--d", "0.5", "--depth", "3", "--out", cloud_path)

@@ -28,8 +28,9 @@ from heislab.constructions import (
     segment_cloud,
     subdivide_rect,
 )
-from heislab.hgeom import ORIGIN, MetricKind, Point, dist
+from heislab.hgeom import MetricKind, Point
 from heislab.probes import ex2_probe
+from oracle import ORIGIN, dist
 
 H = MetricKind.HEISENBERG
 

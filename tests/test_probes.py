@@ -17,14 +17,11 @@ from heislab.constructions import (
     sidecar_path,
 )
 from heislab.hgeom import (
-    HorizontalPlane,
     MetricKind,
     Point,
-    dist,
     dist_many,
     dist_pairs,
-    dist_to_plane,
-    group_mul,
+    normal_scale,
     plane_dist_many,
 )
 from heislab.probes import (
@@ -37,7 +34,6 @@ from heislab.probes import (
     SeriesEntry,
     _denominator,
     _split,
-    density_ratio,
     estimate_annulus_constants,
     ex1_probe,
     ex2_default_radii,
@@ -45,7 +41,6 @@ from heislab.probes import (
     ex2_window_level,
     ex2_windows,
     ex3_probe,
-    mass_split,
     panel_from_cloud,
     panel_from_rects,
     probe_result_to_dict,
@@ -55,6 +50,7 @@ from heislab.probes import (
     thm1_scan,
     thm2_scan,
 )
+from oracle import density_ratio, dist, dist_to_plane, group_mul, mass_split
 
 E = MetricKind.EUCLIDEAN
 H = MetricKind.HEISENBERG
@@ -294,12 +290,11 @@ def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, extra=N
     best_max = (-math.inf, None, None)
     err = 0.0
     for p in base_points:
-        plane = HorizontalPlane(p)
         dE = dist_many(cloud.points, p, MetricKind.EUCLIDEAN)
-        pd = plane_dist_many(cloud.points, plane)
+        pd = plane_dist_many(cloud.points, p)
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
-        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / plane.normal_scale()
+        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p)
         series = []
         for r in radii:
             rho = rho_rule.rho(r)
@@ -404,13 +399,13 @@ def test_sandwich_direct_examples():
     p, r = O, 1.0
     q = Point(0.5, 0, 0)
     assert dist(q, p, E) <= r / 2
-    assert dist_to_plane(q, HorizontalPlane(p)) == 0.0
+    assert dist_to_plane(q, p) == 0.0
     assert dist(q, p, H) == 0.5 <= r
 
     q = Point(0, 0, 0.9)
     assert dist(q, p, H) == pytest.approx(0.81**0.25)
     assert dist(q, p, H) <= r
-    assert dist_to_plane(q, HorizontalPlane(p)) == 0.9 <= r * r
+    assert dist_to_plane(q, p) == 0.9 <= r * r
     assert dist(q, p, E) == 0.9 <= r
 
 
@@ -433,7 +428,7 @@ def test_sandwich_outer_ball_defect_witness():
     q = Point(2.0, 0.29, 1.16)
     assert dist(q, p, H) <= 0.3
     assert dist(q, p, E) > 0.3
-    assert dist_to_plane(q, HorizontalPlane(p)) <= 0.3**2
+    assert dist_to_plane(q, p) <= 0.3**2
     rep = sandwich_sample(2.0, (1.0, 0.3, 0.1), 30_000, seed=1)
     assert rep.outer_ball_violations > 0
     assert rep.outer_violations == rep.outer_ball_violations
