@@ -383,7 +383,7 @@ def expected_dims(source: dict) -> tuple[float | None, float]:
 # ---------------------------------------------------------------------------
 # serialization: CSV for points, JSON sidecar for metadata
 
-# rows formatted per write in save_cloud: a block's floats, reprs and line
+# rows joined per write in save_cloud: a block's field strings and its line
 # string (about 80 KB) fit in memory the allocator keeps, so the writer does not
 # map and fault in fresh pages for every block (32768-row blocks touched about
 # 170 MB of new pages per 524K-row save, and a varying amount from save to save)
@@ -410,12 +410,17 @@ def save_cloud(cloud: WeightedCloud, path) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     data = np.column_stack((cloud.points, cloud.weights))
+    # one repr per distinct bit pattern (a prefractal repeats its coordinates;
+    # keyed on bits, not values, so -0.0 keeps its own text apart from 0.0)
+    bits, inv = np.unique(data.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    fields = text[inv.reshape(data.shape)]  # numpy versions differ in the inverse's shape
     with open(tmp, "w", newline="") as fh:
         fh.write("x,y,t,weight\r\n")
-        # formatted in row blocks: the whole file as one string costs its size again
-        for start in range(0, len(data), SAVE_BLOCK_ROWS):
-            block = data[start:start + SAVE_BLOCK_ROWS]
-            fh.write(("%s,%s,%s,%s\r\n" * len(block)) % tuple(map(repr, block.ravel().tolist())))
+        # joined in row blocks: the whole file as one string costs its size again
+        for start in range(0, len(fields), SAVE_BLOCK_ROWS):
+            block = fields[start:start + SAVE_BLOCK_ROWS]
+            fh.write(("%s,%s,%s,%s\r\n" * len(block)) % tuple(block.ravel().tolist()))
     tmp.replace(path)
     meta = {"source": cloud.source, "total_mass": cloud.total_mass,
             "err_xy": cloud.err_xy, "err_t": cloud.err_t}

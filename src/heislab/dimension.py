@@ -129,6 +129,7 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
         b = base[nb]
         first, last = key.searchsorted(b + lo).tolist(), key.searchsorted(b + hi, "right").tolist()
         idx = np.concatenate([order[a:e] for a, e in zip(first, last)])
+        idx = idx[~covered[idx]]  # covered rows stay covered: measure only the rest
         covered[idx[row_dist(points.take(idx, axis=0), q, metric) <= delta]] = True
         covered[c] = True  # the sweep advances even if rounding ever left c out of its window
     return NetCount(delta=delta, count=len(centers)), np.asarray(centers, dtype=np.int64)

@@ -55,11 +55,6 @@ class Point:
         return Point(float(a[0]), float(a[1]), float(a[2]))
 
 
-def normal_scale(p: Point) -> float:
-    """sqrt(1 + 4(x0^2 + y0^2)), the norm of the normal of the horizontal plane through p."""
-    return math.sqrt(1.0 + 4.0 * (p.x * p.x + p.y * p.y))
-
-
 def beta_minus(s: float) -> float:
     """Lower dimension-comparison bound max{s, 2s - 2}."""
     if s < 0.0:
@@ -121,9 +116,15 @@ def dist_pairs(P, Q, metric: MetricKind) -> np.ndarray:
     return row_dist(as_points_array(P), as_points_array(Q), metric)
 
 
+def normal_scale(x0, y0):
+    """sqrt(1 + 4(x0^2 + y0^2)), the norm of the normal of the horizontal plane
+    through a point (x0, y0, t0); floats or arrays of them."""
+    return np.sqrt(1.0 + 4.0 * (x0 * x0 + y0 * y0))
+
+
 def plane_dist_many(points, p: Point) -> np.ndarray:
     """Euclidean distances from each row of `points` to the horizontal plane through p."""
-    return np.abs(row_twist(as_points_array(points), p.as_array())) / normal_scale(p)
+    return np.abs(row_twist(as_points_array(points), p.as_array())) / normal_scale(p.x, p.y)
 
 
 def group_mul_many(p: Point, points) -> np.ndarray:

@@ -188,7 +188,7 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         w = cloud.weights
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
-        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p)
+        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y)
         series = []
         for r in radii:
             # both halves: the two float expressions disagree at the edge
@@ -459,7 +459,7 @@ def sandwich_sample(R: float, r_values, samples: int, seed: int) -> SandwichRepo
         px, py = rad * np.cos(theta), rad * np.sin(theta)
         pt = rng.uniform(-1.0, 1.0, n)
         P = np.column_stack([px, py, pt])
-        nscale = np.sqrt(1.0 + 4.0 * (px * px + py * py))
+        nscale = normal_scale(px, py)
 
         # inner candidates: horizontal offset within r/2, vertical offset near the plane
         phi = rng.uniform(0.0, 2.0 * math.pi, n)

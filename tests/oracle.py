@@ -47,7 +47,7 @@ def plane_residual(q: Point, base: Point) -> float:
 
 def dist_to_plane(q: Point, base: Point) -> float:
     """Euclidean distance from q to the horizontal plane through base."""
-    return abs(plane_residual(q, base)) / normal_scale(base)
+    return abs(plane_residual(q, base)) / normal_scale(base.x, base.y)
 
 
 def in_neighborhood(q: Point, base: Point, rho: float) -> bool:

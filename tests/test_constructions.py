@@ -406,6 +406,25 @@ def test_save_cloud_bytes_and_bits(tmp_path):
     assert np.array_equal(again.weights.view(np.int64), cloud.weights.view(np.int64))
 
 
+def test_save_cloud_repeated_values_keep_their_bits(tmp_path):
+    # a product cloud repeats every coordinate many times, and its weights
+    # column mixes 0.0 and -0.0, which compare equal but print apart
+    cloud = product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 3))
+    rng = np.random.default_rng(12)
+    signs = rng.random(len(cloud)) < 0.5
+    weights = np.where(signs, 0.0, -0.0)
+    assert signs.sum() > 100 and (~signs).sum() > 100
+    cloud = WeightedCloud(points=cloud.points, weights=weights, total_mass=0.0,
+                          source=cloud.source)
+    path, ref = tmp_path / "c.csv", tmp_path / "ref.csv"
+    save_cloud(cloud, path)
+    _save_ref(cloud, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    again = load_cloud(path)
+    assert np.array_equal(again.points.view(np.int64), cloud.points.view(np.int64))
+    assert np.array_equal(again.weights.view(np.int64), cloud.weights.view(np.int64))
+
+
 def test_load_cloud_line_ends_and_empty_lines(tmp_path):
     path = tmp_path / "c.csv"
     rows = ["0.5,-0.0,1e-300,0.25", "1.0,2.0,3.0,0.75"]

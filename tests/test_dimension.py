@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heislab.constructions import ResourceLimitError, WeightedCloud, cantor_cloud, segment_cloud
+from heislab.constructions import (
+    ResourceLimitError,
+    WeightedCloud,
+    cantor_cloud,
+    hsquare_cloud,
+    product_cloud,
+    segment_cloud,
+)
 from heislab.dimension import (
     NetCount,
     check_dimension_inequalities,
@@ -120,6 +127,9 @@ def test_lattice_net_matches_brute_force_oracle():
     dyadic = [2.0**-j for j in range(1, 8)]
     _assert_oracle_centers(segment_cloud("x", 0.0, 1.0, 1025), dyadic)
     _assert_oracle_centers(cantor_cloud(0.5, 7), dyadic)
+    # a product set repeats each (x, y) over a Cantor fibre, so neighbouring
+    # centers' windows overlap heavily and most candidates are already covered
+    _assert_oracle_centers(product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 3)), (0.6, 0.15))
 
 
 def test_lattice_net_survives_large_spans():

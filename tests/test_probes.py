@@ -294,7 +294,7 @@ def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, extra=N
         pd = plane_dist_many(cloud.points, p)
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
-        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p)
+        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y)
         series = []
         for r in radii:
             rho = rho_rule.rho(r)
