@@ -9,14 +9,7 @@ import numpy as np
 
 from heislab.constructions import Example1, build_family, family_cloud, level_sides, segment_cloud
 from heislab.hgeom import Point
-from heislab.probes import (
-    EX1_PANEL_X_MAX,
-    ex1_scan,
-    ex2_probe,
-    panel_from_rects,
-    thm1_scan,
-    thm2_scan,
-)
+from heislab.probes import ex1_probe, ex2_probe, panel_from_rects, thm1_scan, thm2_scan
 
 
 def main():
@@ -29,8 +22,7 @@ def main():
     cloud = family_cloud(family, 4, kind="ex1")
     h_by = {k: level_sides(Example1(), k)[0] for k in range(args.level + 1)}
 
-    bases = panel_from_rects(family, 12, x_max=EX1_PANEL_X_MAX)
-    res = ex1_scan(cloud, h_by, range(1, args.level), bases)
+    res = ex1_probe(args.level, cloud=cloud)
     print(f"ex1 fixed-fraction rho=r/8: min ratio {res.summary['min_ratio']:.4f} "
           f"(target >= 1/8), max {res.summary['max_ratio']:.4f}, "
           f"error bound {res.error_bound:.2e}")

@@ -1,6 +1,4 @@
-"""Minimal SVG output: point scatters and polyline plots, no dependencies."""
-
-from pathlib import Path
+"""Minimal SVG text: point scatters and polyline plots, no dependencies."""
 
 import numpy as np
 
@@ -14,27 +12,20 @@ def _fit(values, pad):
     return pad + (values - lo) / span * (SIZE - 2 * pad)
 
 
-def svg_scatter(xs, ys, path) -> None:
+def svg_scatter(xs, ys) -> str:
     px, py = _fit(xs, 20), SIZE - _fit(ys, 20)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}">']
     for x, y in zip(px, py):
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="0.8" fill="black"/>')
     parts.append("</svg>\n")
-    _atomic_write(Path(path), "\n".join(parts))
+    return "\n".join(parts)
 
 
-def svg_polyline(xs, ys, path) -> None:
+def svg_polyline(xs, ys) -> str:
     px, py = _fit(xs, 30), SIZE - _fit(ys, 30)
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-    body = (
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}">\n'
         f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>\n'
         "</svg>\n"
     )
-    _atomic_write(Path(path), body)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)

@@ -19,16 +19,15 @@ from .constructions import (
     Example1,
     Example2,
     ResourceLimitError,
-    build_family,
     cantor_cloud,
     example_cloud,
     hsquare_cloud,
-    level_sides,
     load_cloud,
     product_cloud,
     save_cloud,
     segment_cloud,
     write_json,
+    write_text,
 )
 from .dimension import (
     check_dimension_inequalities,
@@ -40,14 +39,11 @@ from .dimension import (
 )
 from .hgeom import MetricKind, Point
 from .probes import (
-    EX1_PANEL_X_MAX,
-    ex1_scan,
-    ex2_default_radii,
-    ex2_scan,
+    ex1_probe,
+    ex2_probe,
     ex2_windows,
     ex3_probe,
     panel_from_cloud,
-    panel_from_rects,
     probe_result_to_dict,
     sandwich_report_to_dict,
     sandwich_sample,
@@ -66,6 +62,13 @@ def _numbers(text: str) -> list[float]:
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """A whole number >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _point(text: str) -> Point:
@@ -104,14 +107,6 @@ def _source_param(cloud, probe: str, key: str):
         raise ValueError(f"probe {probe} needs {need} {key} in the sidecar source") from None
 
 
-def _base_points(args, cloud, family=None, x_max=None) -> list[Point]:
-    if args.base_point:
-        return args.base_point
-    if family is not None:
-        return panel_from_rects(family, args.base_count, x_max=x_max)
-    return panel_from_cloud(cloud, args.base_count)
-
-
 def cmd_construct(args) -> int:
     kind = args.set
     if kind == "ex1":
@@ -136,7 +131,7 @@ def cmd_construct(args) -> int:
         vertical = kind in ("ex1", "ex2", "cantor", "xseg", "tseg", "fs")
         xs = cloud.points[:, 0]
         ys = cloud.points[:, 2] if vertical else cloud.points[:, 1]
-        _svg.svg_scatter(xs, ys, args.svg)
+        write_text(_svg.svg_scatter(xs, ys), args.svg)
     print(f"wrote {len(cloud)} points, total mass {cloud.total_mass}")
     return 0
 
@@ -151,7 +146,7 @@ def cmd_dimension(args) -> int:
     if args.svg:
         xs = np.log10([1.0 / c.delta for c in est.counts])
         ys = np.log10([c.count for c in est.counts])
-        _svg.svg_polyline(xs, ys, args.svg)
+        write_text(_svg.svg_polyline(xs, ys), args.svg)
     print(f"slope {est.slope:.4f} (r^2 {est.r_squared:.4f})")
     return 0
 
@@ -194,19 +189,12 @@ def cmd_density(args) -> int:
     if args.base_count < 1 and not args.base_point:
         raise ValueError(f"--base-count {args.base_count}: a probe needs at least one base point")
     if probe == "ex1":
-        level = _source_param(cloud, probe, "level")
-        params = Example1()
-        family = build_family(params, level)
-        h_by_level = {k: level_sides(params, k)[0] for k in range(level + 1)}
-        bases = _base_points(args, cloud, family, x_max=EX1_PANEL_X_MAX)
-        result = ex1_scan(cloud, h_by_level, range(1, level), bases)
+        result = ex1_probe(_source_param(cloud, probe, "level"), base_count=args.base_count,
+                           cloud=cloud, base_points=args.base_point)
     elif probe == "ex2":
         M, level = _source_param(cloud, probe, "M"), _source_param(cloud, probe, "level")
-        family = build_family(Example2(M), level)
-        bases = _base_points(args, cloud, family)
-        if radii is None:
-            radii = ex2_default_radii(M, level)
-        result = ex2_scan(cloud, M, level, radii, bases)
+        result = ex2_probe(M, level, radii, base_count=args.base_count,
+                           cloud=cloud, base_points=args.base_point)
     elif probe == "ex3":
         d = _source_param(cloud, probe, "d")
         if not args.cantor_in:
@@ -221,10 +209,10 @@ def cmd_density(args) -> int:
             radii = delta_ladder(5.0, 0.05, 17)
         result = ex3_probe(d, 0, 0, radii, base_count=args.base_count,
                            fs_cloud=cloud, cantor_cloud_in=cantor)
-    elif probe == "thm1":
-        result = thm1_scan(cloud, _base_points(args, cloud), args.epsilon, radii, s=args.s)
     else:
-        result = thm2_scan(cloud, _base_points(args, cloud), args.delta, radii, s=args.s)
+        bases = args.base_point or panel_from_cloud(cloud, args.base_count)
+        scan, width = (thm1_scan, args.epsilon) if probe == "thm1" else (thm2_scan, args.delta)
+        result = scan(cloud, bases, width, radii, s=args.s)
     write_json(probe_result_to_dict(result), args.out)
     print(f"min ratio {result.summary['min_ratio']:.6g}, "
           f"max ratio {result.summary['max_ratio']:.6g}")
@@ -238,21 +226,26 @@ def cmd_sandwich(args) -> int:
     rep = sandwich_sample(args.R, args.r_values, args.samples, args.seed)
     write_json(sandwich_report_to_dict(rep), args.out)
     print(f"inner violations {rep.inner_violations}, outer violations {rep.outer_violations}")
-    if args.do_assert and (rep.inner_violations or rep.outer_violations):
+    # the literal-r Euclidean half of outer_violations is false off the t-axis
+    # (it needs c_R * r), so the gate checks the inner and plane halves only
+    if args.do_assert and (rep.inner_violations or rep.outer_plane_violations):
         print("assertion gate failed", file=sys.stderr)
         return ASSERT_ERROR
     return 0
 
 
-def _load_estimate(path: str):
+def _load_estimate(path: str, metric: str):
     try:
-        return estimate_from_dict(json.loads(Path(path).read_text()))
+        est = estimate_from_dict(json.loads(Path(path).read_text()))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path} is not a dimension estimate: {exc!r}") from None
+    if est.metric.value != metric:
+        raise ValueError(f"{path} holds a {est.metric.value} dimension estimate, not {metric}")
+    return est
 
 
 def cmd_compare(args) -> int:
-    dE, dH = _load_estimate(args.dimE), _load_estimate(args.dimH)
+    dE, dH = _load_estimate(args.dimE, "euclidean"), _load_estimate(args.dimH, "heisenberg")
     verdict = check_dimension_inequalities(dE.slope, dH.slope, args.tol)
     out = {
         "ok": verdict.ok,
@@ -295,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--metric", required=True, choices=["euclidean", "heisenberg"])
     d.add_argument("--delta-min", type=float, required=True)
     d.add_argument("--delta-max", type=float, required=True)
-    d.add_argument("--scales", type=int)
+    d.add_argument("--scales", type=_count)
     d.add_argument("--out", required=True)
     d.add_argument("--svg")
     d.set_defaults(func=cmd_dimension)
@@ -309,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=_numbers)
     p.add_argument("--r-min", type=float)
     p.add_argument("--r-max", type=float)
-    p.add_argument("--r-count", type=int)
+    p.add_argument("--r-count", type=_count)
     p.add_argument("--base-count", type=int, default=12)
     p.add_argument("--base-point", action="append", type=_point)
     p.add_argument("--cantor-in")

@@ -396,12 +396,17 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def write_json(obj, path) -> None:
-    """Write obj as sorted, indented JSON through a temporary file."""
+def write_text(text: str, path) -> None:
+    """Write text to `name.tmp`, then rename it over path: no reader sees half a file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    tmp.write_text(text)
     tmp.replace(path)
+
+
+def write_json(obj, path) -> None:
+    """Write obj as sorted, indented JSON through write_text."""
+    write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def save_cloud(cloud: WeightedCloud, path) -> None:

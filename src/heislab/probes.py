@@ -287,16 +287,19 @@ def ex1_scan(cloud: WeightedCloud, h_by_level: dict[int, float], ks,
                         probe="ex1", extra={"k_by_radius": by_r})
 
 
-def ex1_probe(level: int, samples_per_rect: int = 4, base_count: int = 12) -> ProbeResult:
-    """Build the doubly exponential family at `level` and probe every admissible
-    k < level. Base points are deepest-level rectangle centers with
-    x <= EX1_PANEL_X_MAX."""
+def ex1_probe(level: int, samples_per_rect: int = 4, base_count: int = 12,
+              cloud: WeightedCloud | None = None, base_points=None) -> ProbeResult:
+    """Probe the doubly exponential family at `level` at every admissible
+    k < level, on `cloud` or else on a cloud built from the family. Base points
+    default to deepest-level rectangle centers with x <= EX1_PANEL_X_MAX."""
     params = Example1()
     family = build_family(params, level)
-    cloud = family_cloud(family, samples_per_rect, kind="ex1")
+    if cloud is None:
+        cloud = family_cloud(family, samples_per_rect, kind="ex1")
     h_by_level = {k: level_sides(params, k)[0] for k in range(level + 1)}
-    bases = panel_from_rects(family, base_count, x_max=EX1_PANEL_X_MAX)
-    return ex1_scan(cloud, h_by_level, range(1, level), bases)
+    if base_points is None:
+        base_points = panel_from_rects(family, base_count, x_max=EX1_PANEL_X_MAX)
+    return ex1_scan(cloud, h_by_level, range(1, level), base_points)
 
 
 def ex2_window_level(r: float) -> int:
@@ -340,15 +343,19 @@ def ex2_scan(cloud: WeightedCloud, M: float, level: int, radii, base_points) -> 
 
 
 def ex2_probe(M: float, level: int, radii=None, samples_per_rect: int = 4,
-              base_count: int = 12) -> ProbeResult:
-    """Build the flat-rectangle family and probe inside the valid radius windows."""
+              base_count: int = 12, cloud: WeightedCloud | None = None,
+              base_points=None) -> ProbeResult:
+    """Probe the flat-rectangle family inside the valid radius windows, on `cloud`
+    or else on a cloud built from the family, by default at its rectangle centers."""
     ex2_windows(M, level)  # refuse a level without a window before building it
     family = build_family(Example2(M), level)
-    cloud = family_cloud(family, samples_per_rect, kind="ex2", extra_source={"M": M})
+    if cloud is None:
+        cloud = family_cloud(family, samples_per_rect, kind="ex2", extra_source={"M": M})
     if radii is None:
         radii = ex2_default_radii(M, level)
-    bases = panel_from_rects(family, base_count)
-    return ex2_scan(cloud, M, level, radii, bases)
+    if base_points is None:
+        base_points = panel_from_rects(family, base_count)
+    return ex2_scan(cloud, M, level, radii, base_points)
 
 
 def _annulus_min_ratio(t_values: np.ndarray, weights: np.ndarray, centers: np.ndarray,

@@ -9,6 +9,7 @@ import pytest
 
 from heislab.cli import main
 from heislab.constructions import load_cloud
+from heislab.probes import SandwichReport
 
 
 def run(*args):
@@ -101,7 +102,12 @@ def test_dimension_default_ladder(tmp_path):
      "argument --radii"),
     (("sandwich", "--R", "2", "--samples", "10", "--r-values", "x", "--out", "s.json"),
      "argument --r-values"),
-], ids=["per-decade", "density-M", "radii-not-numbers", "r-values-not-numbers"])
+    (("dimension", "--in", "c.csv", "--metric", "euclidean", "--delta-min", "0.05",
+      "--delta-max", "0.4", "--scales", "-1", "--out", "e.json"), "argument --scales"),
+    (("density", "--in", "c.csv", "--probe", "thm2", "--r-min", "0.02", "--r-max", "0.2",
+      "--r-count", "-2", "--out", "p.json"), "argument --r-count"),
+], ids=["per-decade", "density-M", "radii-not-numbers", "r-values-not-numbers",
+        "negative-scales", "negative-r-count"])
 def test_removed_options_are_usage_errors(capsys, argv, option):
     # argparse owns option syntax: it prints the usage, then one error line naming the option
     with pytest.raises(SystemExit) as exc:
@@ -330,6 +336,23 @@ def test_compare_malformed_estimate_exits_2(tmp_path, capsys, blob):
     assert err.count("\n") == 1 and str(dh) in err and "dimension estimate" in err
 
 
+def test_compare_wrong_metric_exits_2(tmp_path, capsys):
+    # a Euclidean estimate passed as the gauge one sits on the band's lower edge
+    # and used to pass --assert; swapped files reached the band check too
+    cloud_path = tmp_path / "cantor.csv"
+    run("construct", "--set", "cantor", "--d", "0.5", "--depth", "7", "--out", cloud_path)
+    de, dh = tmp_path / "dE.json", tmp_path / "dH.json"
+    run("dimension", "--in", cloud_path, "--metric", "euclidean",
+        "--delta-min", str(4.0**-5), "--delta-max", "0.25", "--scales", "5", "--out", de)
+    run("dimension", "--in", cloud_path, "--metric", "heisenberg",
+        "--delta-min", str(2.0**-5), "--delta-max", "0.5", "--scales", "5", "--out", dh)
+    for dimE, dimH, bad in ((de, de, de), (dh, dh, dh), (dh, de, dh)):
+        capsys.readouterr()
+        assert run("compare", "--dimE", dimE, "--dimH", dimH, "--assert") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err and "dimension estimate" in err
+
+
 def test_density_ex3_with_cantor_input(tmp_path):
     fs_path = tmp_path / "fs.csv"
     cantor_path = tmp_path / "cantor.csv"
@@ -373,9 +396,27 @@ def test_sandwich_command_outer_defect(tmp_path):
     assert rep["inner_violations"] == 0
     assert rep["outer_plane_violations"] == 0
     assert rep["outer_violations"] > 0
-    # the gate reports the failure through the exit code
+    # the outer violations are all the literal-r Euclidean half, which is false
+    # off the t-axis; the gate checks only the inner and plane halves
     assert run("sandwich", "--R", "2", "--samples", "20000", "--seed", "1",
-               "--out", out, "--assert") == 4
+               "--out", out, "--assert") == 0
+
+
+@pytest.mark.parametrize("violations", [
+    {"inner_violations": 1},
+    {"outer_violations": 1, "outer_plane_violations": 1},
+], ids=["inner", "plane"])
+def test_sandwich_gate_fails_on_inner_or_plane_violation(tmp_path, monkeypatch, capsys,
+                                                         violations):
+    def one_violation(R, r_values, samples, seed):
+        counts = {"inner_violations": 0, "outer_violations": 0} | violations
+        return SandwichReport(samples=samples, R=R, seed=seed, r_values=tuple(r_values),
+                              **counts)
+
+    monkeypatch.setattr("heislab.cli.sandwich_sample", one_violation)
+    assert run("sandwich", "--R", "2", "--samples", "10", "--out", tmp_path / "s.json",
+               "--assert") == 4
+    assert capsys.readouterr().err == "assertion gate failed\n"
 
 
 def test_compare_command(tmp_path, capsys):

@@ -1,15 +1,21 @@
-"""Golden construction digests: the IFS and product clouds must keep every bit.
+"""Golden digests: the IFS and product clouds must keep every bit, and the
+ex1/ex2 `density` JSON every byte.
 
-The digests were recorded once, from the map-class implementation of the
+The cloud digests were recorded once, from the map-class implementation of the
 iterated function systems, and are never regenerated: a change to how the maps
 are written must leave the points, weights and placement errors unchanged.
 The sha256 covers the native (little-endian float64) bytes of each array.
+
+The density digests were recorded once, from the CLI that rebuilt each
+rectangle family itself to choose its base points and default radii, before
+`density` handed the loaded cloud to `ex1_probe` and `ex2_probe`.
 """
 
 import hashlib
 
 import pytest
 
+from heislab.cli import main
 from heislab.constructions import cantor_cloud, hsquare_cloud, product_cloud
 
 GOLDEN = {
@@ -48,3 +54,38 @@ def test_construction_is_bit_identical(name):
     assert hashlib.sha256(cloud.weights.tobytes()).hexdigest() == weights_sha
     assert cloud.err_xy == err_xy
     assert cloud.err_t == err_t
+
+
+EX1 = ("--set", "ex1", "--level", "4")
+EX2 = ("--set", "ex2", "--M", "2", "--level", "10")
+DENSITY_GOLDEN = {
+    "ex1-panel": (EX1, (), "1ecfd651ea92c651d7f3780c1bf7f8730e2a248d75eca7f5b65c434542ade7f6"),
+    "ex1-base-count": (
+        EX1, ("--base-count", "5"),
+        "18454728fe31176f96fef65bfeda969e48a2050350ba86342722ff9e1fcfbbc8",
+    ),
+    "ex1-base-points": (
+        EX1, ("--base-point", "0.087890625,0,0.05860137939453125", "--base-point", "0.5,0,0.1"),
+        "6242e7feaafb86c0c11c7b7ba5232dc5b33c83b3899b10c1e1dfb812afbcaa29",
+    ),
+    "ex2-M2": (EX2, (), "3ed8e5d03e1730683a59ea9e00cd880bd04931dcc86ad2f659ce903cecb8547f"),
+    "ex2-M7.3": (
+        ("--set", "ex2", "--M", "7.3", "--level", "11", "--samples-per-rect", "3"),
+        ("--base-count", "7"),
+        "4ee23e9cb1aa99a6b652bd8d7b6c1c9724d1c66001b5ef7d36d6e5cd35ed210a",
+    ),
+    "ex2-radii-base-point": (
+        EX2, ("--radii", "0.0095,0.0045", "--base-point", "0.09130859375,0,0.09293937683105469"),
+        "81e308e4780e934167334f30b9732385ba247184a8603ed5076d2ddf7363481e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DENSITY_GOLDEN))
+def test_density_json_is_byte_identical(tmp_path, name):
+    construct, density, sha = DENSITY_GOLDEN[name]
+    cloud_path, out = tmp_path / "c.csv", tmp_path / "p.json"
+    assert main(["construct", *construct, "--out", str(cloud_path)]) == 0
+    assert main(["density", "--in", str(cloud_path), "--probe", construct[1], *density,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha

@@ -5,6 +5,7 @@ import pytest
 
 from heislab.constructions import (
     Example1,
+    Example2,
     WeightedCloud,
     build_family,
     cantor_cloud,
@@ -154,6 +155,23 @@ def test_ex1_probe_bound_and_cap():
 def test_ex1_probe_rejects_shallow_level():
     with pytest.raises(ValueError):
         ex1_probe(1)
+
+
+def test_probes_on_a_given_cloud_match_their_own_build():
+    # the CLI hands the probes the loaded cloud; on the cloud a probe would
+    # build itself the result is the same, and a given panel is used as is
+    ex1 = family_cloud(build_family(Example1(), 3), 4, kind="ex1")
+    assert (probe_result_to_dict(ex1_probe(3, cloud=ex1))
+            == probe_result_to_dict(ex1_probe(3)))
+    ex2 = family_cloud(build_family(Example2(2.0), 9), 4, kind="ex2", extra_source={"M": 2.0})
+    assert (probe_result_to_dict(ex2_probe(2.0, 9, cloud=ex2))
+            == probe_result_to_dict(ex2_probe(2.0, 9)))
+    p = Point(0.5, 0.0, 0.1)
+    assert [ps.p for ps in ex1_probe(3, cloud=ex1, base_points=[p]).points] == [p]
+    for probe in (lambda: ex1_probe(3, cloud=ex1, base_points=[]),
+                  lambda: ex2_probe(2.0, 9, cloud=ex2, base_points=[])):
+        with pytest.raises(ValueError, match="at least one base point"):
+            probe()
 
 
 def test_ex1_contrast_on_shared_panel():
