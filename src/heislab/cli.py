@@ -55,6 +55,26 @@ USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 ASSERT_ERROR = 4
 
+# the construct options each set reads, with their defaults
+_CONSTRUCT_OPTIONS = {
+    "ex1": {"level": 3, "samples_per_rect": 1},
+    "ex2": {"M": 2.0, "level": 3, "samples_per_rect": 1},
+    "hsquare": {"depth": 6},
+    "cantor": {"d": 0.5, "depth": 6},
+    "fs": {"d": 0.5, "depth": 6, "cantor_depth": 6},
+    "xseg": {"points": 4096},
+    "tseg": {"points": 4096},
+}
+# the width, exponent and cantor options each probe reads, with their defaults
+# (ex3 needs --cantor-in and has none)
+_DENSITY_OPTIONS = {
+    "thm1": {"epsilon": 0.5, "s": 1.0},
+    "thm2": {"delta": 0.25, "s": 1.0},
+    "ex1": {},
+    "ex2": {},
+    "ex3": {"cantor_in": None},
+}
+
 
 def _numbers(text: str) -> list[float]:
     """A comma-separated list of numbers; empty fields are skipped."""
@@ -77,6 +97,20 @@ def _point(text: str) -> Point:
         return Point(*_numbers(text))
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         raise argparse.ArgumentTypeError(f"not three finite numbers x,y,t: {text!r}") from None
+
+
+def _read_options(args, table: dict, choice: str, what: str) -> None:
+    """Fill in the defaults of the options of `table` that `choice` reads; one
+    that is given but not read is a usage error."""
+    reads = table[choice]
+    options = dict.fromkeys(key for row in table.values() for key in row)
+    unread = [f"--{key.replace('_', '-')}" for key in options
+              if key not in reads and getattr(args, key) is not None]
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(unread)}")
+    for key, default in reads.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
 
 
 def _radii_from_args(args) -> list[float] | None:
@@ -109,6 +143,7 @@ def _source_param(cloud, probe: str, key: str):
 
 def cmd_construct(args) -> int:
     kind = args.set
+    _read_options(args, _CONSTRUCT_OPTIONS, kind, f"set {kind}")
     if kind == "ex1":
         cloud = example_cloud(Example1(), args.level, args.samples_per_rect)
     elif kind == "ex2":
@@ -122,10 +157,8 @@ def cmd_construct(args) -> int:
         cloud = product_cloud(hsquare_cloud(args.depth), cantor_cloud(args.d, args.cantor_depth))
     elif kind == "xseg":
         cloud = segment_cloud("x", 0.0, 1.0, args.points)
-    elif kind == "tseg":
-        cloud = segment_cloud("t", -1.0, 1.0, args.points)
     else:
-        raise ValueError(f"unknown set {kind!r}")
+        cloud = segment_cloud("t", -1.0, 1.0, args.points)
     save_cloud(cloud, args.out)
     if args.svg:
         vertical = kind in ("ex1", "ex2", "cantor", "xseg", "tseg", "fs")
@@ -178,8 +211,10 @@ def _probe_gate(result, probe: str) -> bool:
 
 
 def cmd_density(args) -> int:
+    probe = args.probe
+    _read_options(args, _DENSITY_OPTIONS, probe, f"probe {probe}")
     cloud = load_cloud(args.infile)
-    probe, kind = args.probe, cloud.source.get("kind")
+    kind = cloud.source.get("kind")
     radii = _radii_from_args(args)
     need = {"ex1": "ex1", "ex2": "ex2", "ex3": "fs"}.get(probe, kind)  # thm1, thm2: any cloud
     if need != kind:
@@ -270,15 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a point cloud and write CSV + sidecar")
-    c.add_argument("--set", required=True,
-                   choices=["ex1", "ex2", "hsquare", "cantor", "fs", "xseg", "tseg"])
-    c.add_argument("--level", type=int, default=3)
-    c.add_argument("--M", type=float, default=2.0)
-    c.add_argument("--d", type=float, default=0.5)
-    c.add_argument("--depth", type=int, default=6)
-    c.add_argument("--cantor-depth", type=int, default=6)
-    c.add_argument("--samples-per-rect", type=int, default=1)
-    c.add_argument("--points", type=int, default=4096)
+    c.add_argument("--set", required=True, choices=list(_CONSTRUCT_OPTIONS))
+    c.add_argument("--level", type=int)
+    c.add_argument("--M", type=float)
+    c.add_argument("--d", type=float)
+    c.add_argument("--depth", type=int)
+    c.add_argument("--cantor-depth", type=int)
+    c.add_argument("--samples-per-rect", type=int)
+    c.add_argument("--points", type=int)
     c.add_argument("--out", required=True)
     c.add_argument("--svg")
     c.set_defaults(func=cmd_construct)
@@ -295,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="plane-neighborhood density probes")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--probe", required=True, choices=["thm1", "thm2", "ex1", "ex2", "ex3"])
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--probe", required=True, choices=list(_DENSITY_OPTIONS))
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--s", type=float)
     p.add_argument("--radii", type=_numbers)
     p.add_argument("--r-min", type=float)
     p.add_argument("--r-max", type=float)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,6 +21,10 @@ from .hgeom import MetricKind, beta_minus, beta_plus, dist_pairs, row_dist
 
 _CHUNK = 4096  # covered flags read per step while the cursor seeks the next center
 _EPS = float(np.finfo(float).eps)
+# one greedy-net sweep at a time: a sweep is tens of thousands of short numpy calls that
+# hold the GIL, so two of them thrash it, while a lattice build (long sorts that release
+# the GIL) overlaps the other worker's sweep; whole sweeps are ordered, so no net changes
+_SWEEP = threading.Lock()
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,34 +114,38 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
     order = key.argsort()
     key, X, Y = key[order], X[cx], Y[cy]
     covered, centers, c = np.zeros(n, dtype=bool), [], 0
-    while c < n:
-        if covered[c]:
-            c += int(covered[c:c + _CHUNK].argmin()) or _CHUNK
-            continue
-        centers.append(c)
-        q = points[c]
-        nb = nbrs[ptr[col[c]]:ptr[col[c] + 1]]
-        off = q[2] - smin
-        if gauge:
-            # from corner (X', Y') q's key is off + 2(qy u - qx v), (u, v) = q - (X', Y'); a point
-            # p's adds tw + 2(b u - a v), |tw| <= delta^2, (a, b) = p - (X', Y') in [0, w]^2
-            u, v = q[0] - X[nb], q[1] - Y[nb]
-            off = off + 2.0 * (q[1] * u - q[0] * v)
-            lo = (off - half + 2.0 * w * (u.clip(max=0.0) - v.clip(min=0.0))).clip(0.0, span)
-            hi = (off + half + 2.0 * w * (u.clip(min=0.0) - v.clip(max=0.0))).clip(0.0, span)
-        else:
-            lo, hi = max(off - half, 0.0), min(off + half, span)
-        b = base[nb]
-        first, last = key.searchsorted(b + lo).tolist(), key.searchsorted(b + hi, "right").tolist()
-        idx = np.concatenate([order[a:e] for a, e in zip(first, last)])
-        idx = idx[~covered[idx]]  # covered rows stay covered: measure only the rest
-        covered[idx[row_dist(points.take(idx, axis=0), q, metric) <= delta]] = True
-        covered[c] = True  # the sweep advances even if rounding ever left c out of its window
+    with _SWEEP:
+        while c < n:
+            if covered[c]:
+                c += int(covered[c:c + _CHUNK].argmin()) or _CHUNK
+                continue
+            centers.append(c)
+            q = points[c]
+            nb = nbrs[ptr[col[c]]:ptr[col[c] + 1]]
+            off = q[2] - smin
+            if gauge:
+                # from corner (X', Y') q's key is off + 2(qy u - qx v), (u, v) = q - (X', Y');
+                # a point p's adds tw + 2(b u - a v), |tw| <= delta^2, (a, b) = p - (X', Y')
+                # in [0, w]^2
+                u, v = q[0] - X[nb], q[1] - Y[nb]
+                off = off + 2.0 * (q[1] * u - q[0] * v)
+                lo = (off - half + 2.0 * w * (u.clip(max=0.0) - v.clip(min=0.0))).clip(0.0, span)
+                hi = (off + half + 2.0 * w * (u.clip(min=0.0) - v.clip(max=0.0))).clip(0.0, span)
+            else:
+                lo, hi = max(off - half, 0.0), min(off + half, span)
+            b = base[nb]
+            first = key.searchsorted(b + lo).tolist()
+            last = key.searchsorted(b + hi, "right").tolist()
+            idx = np.concatenate([order[a:e] for a, e in zip(first, last)])
+            idx = idx[~covered[idx]]  # covered rows stay covered: measure only the rest
+            covered[idx[row_dist(points.take(idx, axis=0), q, metric) <= delta]] = True
+            covered[c] = True  # the sweep advances even if rounding ever left c out of its window
     return NetCount(delta=delta, count=len(centers)), np.asarray(centers, dtype=np.int64)
 
 
 def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind) -> list[NetCount]:
-    """One net per delta; deltas must be strictly positive and strictly decreasing."""
+    """One net per delta; deltas must be strictly positive and strictly decreasing.
+    The workers build their lattices in parallel but sweep one net at a time."""
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be strictly positive")
@@ -172,6 +181,14 @@ def estimate_dimension(counts: list[NetCount],
     r2 = 1.0 if syy == 0.0 else (sxy * sxy) / (sxx * syy)
     return DimensionEstimate(slope=slope, intercept=intercept, r_squared=r2,
                              counts=used, metric=metric, dropped=dropped)
+
+
+def local_slopes(counts: list[NetCount]) -> list[float]:
+    """log(N_{k+1}/N_k) / log(delta_k/delta_{k+1}) for each pair of neighbouring
+    scales, largest delta first: the fitted slope's spread along the ladder."""
+    ordered = sorted(counts, key=lambda c: -c.delta)
+    return [math.log(b.count / a.count) / math.log(a.delta / b.delta)
+            for a, b in zip(ordered, ordered[1:])]
 
 
 def delta_ladder(hi: float, lo: float, count: int | None = None) -> list[float]:
@@ -248,6 +265,7 @@ def estimate_to_dict(est: DimensionEstimate) -> dict:
         "r_squared": est.r_squared,
         "scales": [{"delta": c.delta, "count": c.count} for c in est.counts],
         "dropped_scales": [{"delta": c.delta, "count": c.count} for c in est.dropped],
+        "local_slopes": local_slopes(est.counts + est.dropped),
     }
 
 

@@ -162,6 +162,55 @@ def test_density_probe_radius_rules_exit_2(tmp_path, capsys, construct, probe, r
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (("--set", "ex1", "--M", "3"), "--M"),
+    (("--set", "ex2", "--points", "500"), "--points"),
+    (("--set", "hsquare", "--d", "0.7"), "--d"),
+    (("--set", "cantor", "--cantor-depth", "3"), "--cantor-depth"),
+    (("--set", "fs", "--samples-per-rect", "4"), "--samples-per-rect"),
+    (("--set", "xseg", "--depth", "3"), "--depth"),
+    (("--set", "tseg", "--points", "500", "--d", "0.7", "--level", "9"), "--level, --d"),
+], ids=["ex1", "ex2", "hsquare", "cantor", "fs", "xseg", "tseg"])
+def test_construct_unread_option_exits_2(tmp_path, capsys, argv, unread):
+    # each set reads its own options: one it would ignore is refused before any work
+    out = tmp_path / "c.csv"
+    assert run("construct", *argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: set {argv[1]} does not read {unread}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("probe, argv, unread", [
+    ("thm1", ("--radii", "0.1", "--delta", "0.3"), "--delta"),
+    ("thm2", ("--radii", "0.1", "--base-count", "3", "--epsilon", "0.9",
+              "--cantor-in", "nothere.csv"), "--epsilon, --cantor-in"),
+    ("ex1", ("--s", "1"), "--s"),
+    ("ex2", ("--cantor-in", "nothere.csv"), "--cantor-in"),
+    ("ex3", ("--cantor-in", "nothere.csv", "--epsilon", "0.5"), "--epsilon"),
+], ids=["thm1", "thm2", "ex1", "ex2", "ex3"])
+def test_density_unread_option_exits_2(tmp_path, capsys, probe, argv, unread):
+    # the option check comes before the cloud is read: no probe ignores an option
+    tseg_path, out = tmp_path / "tseg.csv", tmp_path / "p.json"
+    run("construct", "--set", "tseg", "--points", "500", "--out", tseg_path)
+    capsys.readouterr()
+    assert run("density", "--in", tseg_path, "--probe", probe, *argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: probe {probe} does not read {unread}\n"
+    assert not out.exists()
+
+
+def test_read_options_default_as_before(tmp_path):
+    # an option left out takes the value it had as an argparse default
+    for name, argv in (("a", ()), ("b", ("--points", "4096"))):
+        assert run("construct", "--set", "tseg", *argv, "--out", tmp_path / f"{name}.csv") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    for probe, explicit in (("thm1", ("--epsilon", "0.5", "--s", "1")),
+                            ("thm2", ("--delta", "0.25", "--s", "1"))):
+        outs = [tmp_path / f"{probe}{i}.json" for i in range(2)]
+        for argv, out in zip(((), explicit), outs):
+            assert run("density", "--in", tmp_path / "a.csv", "--probe", probe, "--radii",
+                       "0.2,0.1", "--base-count", "3", *argv, "--out", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_density_ex1_needs_level_2(tmp_path, capsys):
     cloud_path = tmp_path / "ex1.csv"
     run("construct", "--set", "ex1", "--level", "1", "--out", cloud_path)
@@ -195,7 +244,8 @@ def test_density_sidecar_without_parameter_exits_2(tmp_path, capsys, construct, 
         meta["source"][key] = value
     meta_path.write_text(json.dumps(meta))
     capsys.readouterr()
-    code = run("density", "--in", cloud_path, "--probe", probe, "--cantor-in", cantor_path,
+    cantor_in = ("--cantor-in", cantor_path) if probe == "ex3" else ()  # only ex3 reads it
+    code = run("density", "--in", cloud_path, "--probe", probe, *cantor_in,
                "--out", tmp_path / "p.json")
     assert code == 2
     err = capsys.readouterr().err

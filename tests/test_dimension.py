@@ -1,10 +1,14 @@
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heislab import dimension
 from heislab.constructions import (
     ResourceLimitError,
     WeightedCloud,
@@ -130,6 +134,61 @@ def test_lattice_net_matches_brute_force_oracle():
     # a product set repeats each (x, y) over a Cantor fibre, so neighbouring
     # centers' windows overlap heavily and most candidates are already covered
     _assert_oracle_centers(product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 3)), (0.6, 0.15))
+
+
+def _ladder_clouds():
+    """The oracle's product cloud and its xseg and cantor ladders."""
+    dyadic = [2.0**-j for j in range(1, 8)]
+    return [(product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 3)), [0.6, 0.3, 0.15, 0.075]),
+            (segment_cloud("x", 0.0, 1.0, 1025), dyadic), (cantor_cloud(0.5, 7), dyadic)]
+
+
+def test_net_counts_do_not_depend_on_the_worker_count(monkeypatch):
+    for cloud, deltas in _ladder_clouds():
+        for metric in (E, H):
+            counts = {}
+            for threads in ("1", "2"):
+                monkeypatch.setenv("HEISLAB_THREADS", threads)
+                counts[threads] = net_counts(cloud, deltas, metric)
+            assert counts["1"] == counts["2"], (cloud.source, metric)
+
+
+def test_pooled_nets_match_serial_nets():
+    # the sweeps take turns, each whole, so concurrent calls give the serial centers; more
+    # threads than cores and a short switch interval make the lattice builds interleave
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    clouds = [c for c, _ in _ladder_clouds()] + [_cloud_from_points(rng.uniform(-1, 1, (1000, 3)))]
+    jobs = [(cloud, delta, metric) for cloud in clouds for metric in (E, H)
+            for delta in (0.5, 0.2, 0.08, 0.03)]
+    interval, pool = sys.getswitchinterval(), ThreadPoolExecutor(max_workers=4)
+    sys.setswitchinterval(1e-5)
+    try:
+        futures = [pool.submit(greedy_net, *job) for job in jobs]
+        pooled = [future.result(timeout=120) for future in futures]
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+        sys.setswitchinterval(interval)
+    for job, (nc, centers) in zip(jobs, pooled):
+        serial_nc, serial_centers = greedy_net(*job)
+        assert nc == serial_nc and np.array_equal(centers, serial_centers), job[1:]
+
+
+def test_failed_sweep_releases_the_lock(monkeypatch):
+    cloud = segment_cloud("x", 0.0, 1.0, 1025)
+    calls = []
+
+    def fail_once(points, q, metric):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("sweep failed")
+        return row_dist(points, q, metric)
+
+    monkeypatch.setattr(dimension, "row_dist", fail_once)
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        greedy_net(cloud, 0.1, E)
+    assert not dimension._SWEEP.locked()
+    nc, centers = greedy_net(cloud, 0.1, E)
+    assert nc.count == len(centers) == _brute_net(cloud.points, 0.1, E).size
 
 
 def test_lattice_net_survives_large_spans():
@@ -269,6 +328,19 @@ def test_estimate_serialization_round_trip():
     assert back.metric is H
     assert [c.delta for c in back.counts] == [c.delta for c in est.counts]
     assert [c.delta for c in back.dropped] == [c.delta for c in est.dropped]
+
+
+def test_local_slopes_on_the_golden_fs_counts():
+    # neighbouring-scale slopes, dropped scales included, of the criterion-5 fs ladders
+    golden = json.loads((Path(__file__).parent / "golden_net_counts.json").read_text())["fs"]
+    expected = {E: ("E", (0.3, 0.02), [2.21, 2.43, 2.26, 2.29, 2.42, 2.37, 2.19]),
+                H: ("H", (0.8, 0.1), [2.91, 2.98, 2.81, 2.99, 2.45, 3.41, 2.75])}
+    for metric, (key, (hi, lo), slopes) in expected.items():
+        counts = [NetCount(float(d), n) for d, n in zip(np.geomspace(hi, lo, 8), golden[key])]
+        est = estimate_dimension(counts, metric=metric)
+        blob = json.loads(json.dumps(estimate_to_dict(est)))
+        assert [round(v, 2) for v in blob["local_slopes"]] == slopes
+        assert estimate_from_dict(blob) == est  # readers ignore the key
 
 
 @settings(max_examples=30, deadline=None)
