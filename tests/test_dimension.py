@@ -137,7 +137,8 @@ def test_lattice_net_matches_brute_force_oracle():
 
 
 def _ladder_clouds():
-    """The oracle's product cloud and its xseg and cantor ladders."""
+    """The product cloud of the oracle test and its dyadic xseg and cantor
+    clouds, each with a ladder of deltas."""
     dyadic = [2.0**-j for j in range(1, 8)]
     return [(product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 3)), [0.6, 0.3, 0.15, 0.075]),
             (segment_cloud("x", 0.0, 1.0, 1025), dyadic), (cantor_cloud(0.5, 7), dyadic)]
