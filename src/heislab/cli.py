@@ -65,14 +65,16 @@ _CONSTRUCT_OPTIONS = {
     "xseg": {"points": 4096},
     "tseg": {"points": 4096},
 }
-# the width, exponent and cantor options each probe reads, with their defaults
-# (ex3 needs --cantor-in and has none)
+# the options each probe reads, with their defaults: ex1's radii are tied to
+# the cloud's levels, ex3 strides its own panel and needs --cantor-in
+_RADII = dict.fromkeys(("radii", "r_min", "r_max", "r_count"))
+_PANEL = {"base_count": 12, "base_point": None}
 _DENSITY_OPTIONS = {
-    "thm1": {"epsilon": 0.5, "s": 1.0},
-    "thm2": {"delta": 0.25, "s": 1.0},
-    "ex1": {},
-    "ex2": {},
-    "ex3": {"cantor_in": None},
+    "thm1": {"epsilon": 0.5, "s": 1.0, **_RADII, **_PANEL},
+    "thm2": {"delta": 0.25, "s": 1.0, **_RADII, **_PANEL},
+    "ex1": _PANEL,
+    "ex2": {**_RADII, **_PANEL},
+    "ex3": {"cantor_in": None, **_RADII, "base_count": 12},
 }
 
 
@@ -115,11 +117,7 @@ def _read_options(args, table: dict, choice: str, what: str) -> None:
 
 def _radii_from_args(args) -> list[float] | None:
     """The radii the density options ask for, or None for the probe's own.
-    --r-min/--r-max come as a pair, and the ex1 probe, whose radii are tied
-    to the levels, takes no radius option; the probes check the radii."""
-    options = (args.radii, args.r_min, args.r_max, args.r_count)
-    if args.probe == "ex1" and any(value is not None for value in options):
-        raise ValueError("probe ex1 scans its level-tied radii and takes no radius option")
+    --r-min/--r-max come as a pair; the probes check the radii."""
     if (args.r_min is None) != (args.r_max is None):
         raise ValueError("--r-min and --r-max go together")
     if args.r_min is None and args.r_count is not None:
@@ -196,22 +194,23 @@ def _probe_gate(result, probe: str) -> bool:
         return ok >= 0.9 * len(mins)
     if probe == "thm2":
         return s["max_ratio"] > 2.0 ** (-(result.s + 1.0))
-    if probe == "ex3":
-        # worst-over-panel ratio at each radius: the empirical uniform lower
-        # envelope must stay positive and stable across the radius decades
-        by_r: dict[float, list[float]] = {}
-        for ps in result.points:
-            for e in ps.series:
-                by_r.setdefault(e.r, []).append(e.ratio)
-        envelope = [min(v) for _, v in sorted(by_r.items())]
-        if not envelope or min(envelope) <= 0:
-            return False
-        return min(envelope) >= 0.5 * float(np.median(envelope))
-    raise ValueError(f"no gate for probe {probe!r}")
+    # ex3: the worst-over-panel ratio at each radius, the empirical uniform
+    # lower envelope, must stay positive and stable across the radius decades
+    by_r: dict[float, list[float]] = {}
+    for ps in result.points:
+        for e in ps.series:
+            by_r.setdefault(e.r, []).append(e.ratio)
+    envelope = [min(v) for _, v in sorted(by_r.items())]
+    if not envelope or min(envelope) <= 0:
+        return False
+    return min(envelope) >= 0.5 * float(np.median(envelope))
 
 
 def cmd_density(args) -> int:
     probe = args.probe
+    if args.base_count is not None and args.base_point:
+        raise ValueError("--base-count sizes the panel that --base-point replaces; "
+                         "give one of them")
     _read_options(args, _DENSITY_OPTIONS, probe, f"probe {probe}")
     cloud = load_cloud(args.infile)
     kind = cloud.source.get("kind")
@@ -219,9 +218,7 @@ def cmd_density(args) -> int:
     need = {"ex1": "ex1", "ex2": "ex2", "ex3": "fs"}.get(probe, kind)  # thm1, thm2: any cloud
     if need != kind:
         raise ValueError(f"probe {probe} needs a {need!r} cloud, got {kind!r}")
-    if probe in ("thm1", "thm2") and radii is None:
-        raise ValueError(f"probe {probe} needs radii (--radii or --r-min/--r-max)")
-    if args.base_count < 1 and not args.base_point:
+    if args.base_count < 1:
         raise ValueError(f"--base-count {args.base_count}: a probe needs at least one base point")
     if probe == "ex1":
         result = ex1_probe(_source_param(cloud, probe, "level"), base_count=args.base_count,
@@ -234,17 +231,14 @@ def cmd_density(args) -> int:
         d = _source_param(cloud, probe, "d")
         if not args.cantor_in:
             raise ValueError("probe ex3 needs --cantor-in")
-        if args.base_point:
-            raise ValueError("probe ex3 strides its base points through the cloud "
-                             "(--base-count) and takes no --base-point")
         cantor = load_cloud(args.cantor_in)
         if cantor.source.get("kind") != "cantor" or cantor.source.get("d") != d:
             raise ValueError(f"--cantor-in needs a cantor cloud with d={d}, got {cantor.source}")
-        if radii is None:
-            radii = delta_ladder(5.0, 0.05, 17)
         result = ex3_probe(d, 0, 0, radii, base_count=args.base_count,
                            fs_cloud=cloud, cantor_cloud_in=cantor)
     else:
+        if radii is None:
+            raise ValueError(f"probe {probe} needs radii (--radii or --r-min/--r-max)")
         bases = args.base_point or panel_from_cloud(cloud, args.base_count)
         scan, width = (thm1_scan, args.epsilon) if probe == "thm1" else (thm2_scan, args.delta)
         result = scan(cloud, bases, width, radii, s=args.s)
@@ -337,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float)
     p.add_argument("--r-max", type=float)
     p.add_argument("--r-count", type=_count)
-    p.add_argument("--base-count", type=int, default=12)
+    p.add_argument("--base-count", type=int)
     p.add_argument("--base-point", action="append", type=_point)
     p.add_argument("--cantor-in")
     p.add_argument("--out", required=True)

@@ -246,8 +246,10 @@ def segment_cloud(axis: str, lo: float, hi: float, n: int) -> WeightedCloud:
         raise ValueError(f"axis must be 'x' or 't', got {axis!r}")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if n < 1 or n > MAX_POINTS:
+    if n < 1:
         raise ValueError(f"bad point count {n}")
+    if n > MAX_POINTS:
+        raise ResourceLimitError(f"{n} points exceed the {MAX_POINTS} limit")
     grid = lo + (np.arange(n) + 0.5) * (hi - lo) / n
     pts = np.zeros((n, 3))
     pts[:, 0 if axis == "x" else 2] = grid

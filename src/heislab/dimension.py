@@ -221,8 +221,8 @@ def _ball_samples(rng: np.random.Generator, R: float, n: int) -> np.ndarray:
 def fit_metric_comparison(R: float, samples: int, seed: int) -> ComparisonReport:
     """Draw seeded uniform pairs in the Euclidean R-ball and report the two
     observed comparison ratios."""
-    if not R > 0:
-        raise ValueError("R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be finite and positive, got {R}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -10,7 +10,7 @@ silently mixing them shifts results by powers of two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .constructions import (
     level_sides,
     product_cloud,
 )
+from .dimension import delta_ladder
 from .hgeom import (
     MetricKind,
     Point,
@@ -142,13 +143,22 @@ def _split(weights: np.ndarray, ball: np.ndarray, near: np.ndarray) -> tuple[flo
 
 
 def _denominator(kind: str, r: float, s: float) -> float:
-    if kind == "r^s":
-        return r**s
-    if kind == "(2r)^s":
-        return (2.0 * r) ** s
-    if kind == "2r":
-        return 2.0 * r
-    raise ValueError(f"unknown denominator convention {kind!r}")
+    """The convention's denominator at r, which must come out finite and > 0."""
+    try:
+        if kind == "r^s":
+            denom = r**s
+        elif kind == "(2r)^s":
+            denom = (2.0 * r) ** s
+        elif kind == "2r":
+            denom = 2.0 * r
+        else:
+            raise ValueError(f"unknown denominator convention {kind!r}")
+    except OverflowError:
+        denom = math.inf
+    if not 0.0 < denom < math.inf:
+        raise ValueError(f"denominator {kind} at r={r}, s={s} is {denom}, "
+                         "not a finite positive number")
+    return denom
 
 
 def _checked_radii(radii) -> list[float]:
@@ -175,6 +185,7 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     mask passes cost about the ball's share of the cloud, not all of it.
     """
     radii = _checked_radii(radii)
+    denoms = [_denominator(convention, r, s) for r in radii]
     if not base_points:
         raise ValueError("the density scan needs at least one base point")
     e_ball = cloud.placement_error
@@ -190,12 +201,11 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
         e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y)
         series = []
-        for r in radii:
+        for r, denom in zip(radii, denoms):
             # both halves: the two float expressions disagree at the edge
             keep = (dE - r <= e_ball) | (dE <= r + e_ball)
             dE, pd, w = dE[keep], pd[keep], w[keep]
             rho = rho_rule.rho(r)
-            denom = _denominator(convention, r, s)
             inside, outside = _split(w, dE <= r, pd <= rho)
             ratio = outside / denom
             series.append(SeriesEntry(r=r, inside=inside, outside=outside, ratio=ratio))
@@ -386,15 +396,16 @@ def estimate_annulus_constants(cantor: WeightedCloud, radii, d: float) -> tuple[
     return 0.0, 0.0
 
 
-def ex3_probe(d: float, qh_depth: int, cantor_depth: int, radii,
+def ex3_probe(d: float, qh_depth: int, cantor_depth: int, radii=None,
               base_count: int = 12, fs_cloud: WeightedCloud | None = None,
               cantor_cloud_in: WeightedCloud | None = None) -> ProbeResult:
     """Vertical-product probe: estimate the annulus constants (c0, c_d) on the
     Cantor cloud, then scan the product set with rho = (c0/6) * r and
-    denominator r^s at s = 2 + d."""
+    denominator r^s at s = 2 + d. The radii default to 17 log-spaced ones
+    from 5 down to 0.05."""
     if not (0.0 < d < 1.0):
         raise ValueError(f"d must lie in (0, 1), got {d}")
-    radii = _checked_radii(radii)
+    radii = _checked_radii(delta_ladder(5.0, 0.05, 17) if radii is None else radii)
     cantor = cantor_cloud_in if cantor_cloud_in is not None else cantor_cloud(d, cantor_depth)
     fs = fs_cloud if fs_cloud is not None else product_cloud(hsquare_cloud(qh_depth), cantor)
     c0, cd = estimate_annulus_constants(cantor, radii, d)
@@ -443,8 +454,8 @@ def sandwich_sample(R: float, r_values, samples: int, seed: int) -> SandwichRepo
     Violation counts for each direction are returned, with the outer count also
     split into its plane and Euclidean-ball components.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be finite and positive, got {R}")
     r_values = tuple(float(r) for r in r_values)
     if not r_values or any(not (0.0 < r <= 1.0) for r in r_values):
         raise ValueError("each r must lie in (0, 1]")
@@ -523,15 +534,4 @@ def probe_result_to_dict(res: ProbeResult) -> dict:
 
 
 def sandwich_report_to_dict(rep: SandwichReport) -> dict:
-    return {
-        "samples": rep.samples,
-        "inner_violations": rep.inner_violations,
-        "outer_violations": rep.outer_violations,
-        "R": rep.R,
-        "seed": rep.seed,
-        "r_values": list(rep.r_values),
-        "inner_hits": rep.inner_hits,
-        "outer_hits": rep.outer_hits,
-        "outer_plane_violations": rep.outer_plane_violations,
-        "outer_ball_violations": rep.outer_ball_violations,
-    }
+    return asdict(rep)

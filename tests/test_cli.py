@@ -58,6 +58,15 @@ def test_construct_resource_limit(tmp_path):
     assert code == 3
 
 
+def test_construct_segment_resource_limit_exits_3(tmp_path, capsys):
+    # a segment past the point limit is a resource limit, like every other builder
+    out = tmp_path / "x.csv"
+    assert run("construct", "--set", "xseg", "--points", "20000000", "--out", out) == 3
+    assert capsys.readouterr().err.startswith("resource limit: ")
+    assert not out.exists()
+    assert run("construct", "--set", "xseg", "--points", "0", "--out", out) == 2
+
+
 def test_dimension_command(tmp_path, capsys):
     cloud_path = tmp_path / "tseg.csv"
     run("construct", "--set", "tseg", "--points", "16384", "--out", cloud_path)
@@ -145,12 +154,9 @@ def test_bad_radius_range_exits_2(tmp_path, capsys, radii, message):
 
 
 @pytest.mark.parametrize("construct, probe, radii, message", [
-    (("--set", "ex1", "--level", "3"), "ex1", ("--radii", "0.5"), "no radius option"),
-    (("--set", "ex1", "--level", "3"), "ex1", ("--r-min", "0.1", "--r-max", "0.2"),
-     "no radius option"),
     (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", ("--radii", "inf"),
      "finite positive"),
-], ids=["ex1-radii", "ex1-range", "ex2-inf"])
+], ids=["ex2-inf"])
 def test_density_probe_radius_rules_exit_2(tmp_path, capsys, construct, probe, radii, message):
     cloud_path = tmp_path / "c.csv"
     assert run("construct", *construct, "--out", cloud_path) == 0
@@ -184,11 +190,15 @@ def test_construct_unread_option_exits_2(tmp_path, capsys, argv, unread):
     ("thm2", ("--radii", "0.1", "--base-count", "3", "--epsilon", "0.9",
               "--cantor-in", "nothere.csv"), "--epsilon, --cantor-in"),
     ("ex1", ("--s", "1"), "--s"),
+    ("ex1", ("--radii", "0.5"), "--radii"),
+    ("ex1", ("--r-min", "0.1", "--r-max", "0.2"), "--r-min, --r-max"),
     ("ex2", ("--cantor-in", "nothere.csv"), "--cantor-in"),
     ("ex3", ("--cantor-in", "nothere.csv", "--epsilon", "0.5"), "--epsilon"),
-], ids=["thm1", "thm2", "ex1", "ex2", "ex3"])
+    ("ex3", ("--base-point", "0,0,0"), "--base-point"),
+], ids=["thm1", "thm2", "ex1", "ex1-radii", "ex1-range", "ex2", "ex3", "ex3-base-point"])
 def test_density_unread_option_exits_2(tmp_path, capsys, probe, argv, unread):
-    # the option check comes before the cloud is read: no probe ignores an option
+    # the option check comes before the cloud is read: no probe ignores an option;
+    # ex1's radii are tied to the cloud's levels, and ex3 strides its own panel
     tseg_path, out = tmp_path / "tseg.csv", tmp_path / "p.json"
     run("construct", "--set", "tseg", "--points", "500", "--out", tseg_path)
     capsys.readouterr()
@@ -268,6 +278,55 @@ def test_density_empty_panel_exits_2(tmp_path, capsys, construct, probe, radii, 
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--base-count" in err and "at least one base point" in err
+
+
+@pytest.mark.parametrize("probe", ["thm1", "thm2", "ex1", "ex2", "ex3"])
+def test_density_base_count_with_base_point_exits_2(tmp_path, capsys, probe):
+    # the base points replace the panel, so a count given with them was ignored
+    out = tmp_path / "p.json"
+    assert run("density", "--in", tmp_path / "nothere.csv", "--probe", probe, "--base-point",
+               "0,0,0", "--base-count", "7", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --base-count ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "1000"])
+def test_density_bad_denominator_exits_2(tmp_path, capsys, s):
+    # (2r)^s at r = 0.1 is NaN or underflows to 0: NaN ratios, or a ZeroDivisionError
+    tseg_path, out = tmp_path / "tseg.csv", tmp_path / "p.json"
+    run("construct", "--set", "tseg", "--points", "500", "--out", tseg_path)
+    capsys.readouterr()
+    assert run("density", "--in", tseg_path, "--probe", "thm2", "--radii", "0.1",
+               "--s", s, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not a finite positive number" in err
+    assert not out.exists()
+
+
+def test_density_thm1_assert_gate_fails(tmp_path, capsys):
+    # a vertical segment keeps mass off every shrinking plane neighborhood
+    tseg_path, out = tmp_path / "tseg.csv", tmp_path / "p.json"
+    run("construct", "--set", "tseg", "--points", "2000", "--out", tseg_path)
+    capsys.readouterr()
+    assert run("density", "--in", tseg_path, "--probe", "thm1", "--radii", "0.2,0.1,0.05",
+               "--out", out, "--assert") == 4
+    assert capsys.readouterr().err == "assertion gate failed\n"
+    assert json.loads(out.read_text())["probe"] == "thm1"
+
+
+def test_density_ex3_degenerate(tmp_path):
+    # no annulus constant fits radii this small: the probe reports, the gate fails
+    fs_path, cantor_path = tmp_path / "fs.csv", tmp_path / "cantor.csv"
+    run("construct", "--set", "fs", "--d", "0.5", "--depth", "2", "--cantor-depth", "3",
+        "--out", fs_path)
+    run("construct", "--set", "cantor", "--d", "0.5", "--depth", "3", "--out", cantor_path)
+    out = tmp_path / "p.json"
+    argv = ("density", "--in", fs_path, "--probe", "ex3", "--cantor-in", cantor_path,
+            "--radii", "1e-9", "--out", out)
+    assert run(*argv) == 0
+    assert json.loads(out.read_text())["extra"]["status"] == "degenerate"
+    assert run(*argv, "--assert") == 4
 
 
 @pytest.mark.parametrize("point", ["0,0", "0,0,0,1", "abc,0,0", "inf,0,0"])
@@ -438,6 +497,14 @@ def test_density_ex3_rejects_wrong_cantor_input(tmp_path, capsys, construct):
     assert err.count("\n") == 1 and "--cantor-in" in err
 
 
+def test_sandwich_infinite_R_exits_2(tmp_path, capsys):
+    # with R = inf no candidate is ever a hit, and the gate used to pass on nothing
+    out = tmp_path / "s.json"
+    assert run("sandwich", "--R", "inf", "--samples", "100", "--out", out, "--assert") == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sandwich_command_outer_defect(tmp_path):
     out = tmp_path / "s.json"
     code = run("sandwich", "--R", "2", "--samples", "20000", "--seed", "1", "--out", out)
@@ -487,6 +554,17 @@ def test_compare_command(tmp_path, capsys):
     assert v["ok"] is True
     assert v["beta_plus"] == pytest.approx(min(2 * v["dimE"], v["dimE"] + 1), abs=1e-9)
     assert "ok: true" in capsys.readouterr().out
+
+
+def test_compare_assert_fails_outside_the_band(tmp_path, capsys):
+    # dim_E = 1 bounds dim_H to [1, 2]; 3 is outside by more than the tolerance
+    paths = []
+    for metric, slope in (("euclidean", 1.0), ("heisenberg", 3.0)):
+        paths.append(tmp_path / f"{metric}.json")
+        paths[-1].write_text(json.dumps({"metric": metric, "slope": slope, "intercept": 0.0,
+                                         "r_squared": 1.0, "scales": []}))
+    assert run("compare", "--dimE", paths[0], "--dimH", paths[1], "--assert") == 4
+    assert "ok: false" in capsys.readouterr().out
 
 
 def test_reproducible_outputs(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heislab.constructions import (
+    MAX_POINTS,
     SAVE_BLOCK_ROWS,
     WeightedCloud,
     Example1,
@@ -343,6 +344,14 @@ def test_segment_clouds():
     ts = segment_cloud("t", -1, 1, 100)
     assert ts.total_mass == pytest.approx(2.0)
     assert (ts.points[:, :2] == 0).all()
+
+
+def test_segment_cloud_limits():
+    # past the point limit is a resource limit, like every other builder
+    with pytest.raises(ResourceLimitError):
+        segment_cloud("x", 0, 1, MAX_POINTS + 1)
+    with pytest.raises(ValueError, match="bad point count"):
+        segment_cloud("t", -1, 1, 0)
 
 
 def test_cloud_weight_mass_consistency_enforced():

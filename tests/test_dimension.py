@@ -312,6 +312,12 @@ def test_fit_metric_comparison_bounded():
     assert again == rep
 
 
+@pytest.mark.parametrize("R", [0.0, math.inf, math.nan])
+def test_fit_metric_comparison_needs_finite_positive_R(R):
+    with pytest.raises(ValueError, match="finite and positive"):
+        fit_metric_comparison(R=R, samples=10, seed=0)
+
+
 def test_check_dimension_inequalities():
     assert check_dimension_inequalities(1.0, 1.0, 0.0).ok
     assert check_dimension_inequalities(2.5, 3.0, 0.0).ok

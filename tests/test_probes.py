@@ -17,6 +17,7 @@ from heislab.constructions import (
     segment_cloud,
     sidecar_path,
 )
+from heislab.dimension import delta_ladder
 from heislab.hgeom import (
     MetricKind,
     Point,
@@ -287,6 +288,28 @@ def test_scan_density_rejects_bad_radii(radii):
         ex3_probe(0.5, 1, 2, radii)  # before the annulus estimate
 
 
+@pytest.mark.parametrize("convention, r, s", [
+    ("(2r)^s", 0.1, math.nan), ("(2r)^s", 0.1, math.inf), ("(2r)^s", 0.1, 1000.0),
+    ("r^s", 10.0, 1000.0), ("r^s", 0.5, -math.inf),
+], ids=["nan", "inf", "underflow", "overflow", "inf-denominator"])
+def test_scan_density_rejects_bad_denominator(convention, r, s):
+    # checked for every radius before the first base point, so an empty panel
+    # is not reached; NaN ratios or a ZeroDivisionError came out before
+    tseg = segment_cloud("t", -1.0, 1.0, 100)
+    with pytest.raises(ValueError, match="not a finite positive number"):
+        scan_density(tseg, [], [1.0, r], Linear(0.25), s, convention, probe="thm2")
+
+
+def test_ex3_probe_owns_its_default_radii():
+    cantor = cantor_cloud(0.5, 4)
+    fs = product_cloud(hsquare_cloud(2), cantor)
+    own = ex3_probe(0.5, 0, 0, base_count=4, fs_cloud=fs, cantor_cloud_in=cantor)
+    ladder = ex3_probe(0.5, 0, 0, delta_ladder(5.0, 0.05, 17), base_count=4, fs_cloud=fs,
+                       cantor_cloud_in=cantor)
+    assert own.extra["status"] == "ok"
+    assert probe_result_to_dict(own) == probe_result_to_dict(ladder)
+
+
 def test_scan_density_rejects_empty_panel():
     # an empty panel used to report min_ratio inf and max_ratio -inf
     tseg = segment_cloud("t", -1.0, 1.0, 100)
@@ -475,8 +498,9 @@ def test_sandwich_corrected_outer_radius_clean():
 
 
 def test_sandwich_validations():
-    with pytest.raises(ValueError):
-        sandwich_sample(0.0, (0.5,), 10, 0)
+    for R in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            sandwich_sample(R, (0.5,), 10, 0)
     with pytest.raises(ValueError):
         sandwich_sample(1.0, (1.5,), 10, 0)
     with pytest.raises(ValueError):
