@@ -10,6 +10,7 @@ import argparse
 import json
 import operator
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .constructions import (
     write_text,
 )
 from .dimension import (
+    MIN_SCALES,
     check_dimension_inequalities,
     delta_ladder,
     estimate_dimension,
@@ -65,16 +67,17 @@ _CONSTRUCT_OPTIONS = {
     "xseg": {"points": 4096},
     "tseg": {"points": 4096},
 }
-# the options each probe reads, with their defaults: ex1's radii are tied to
-# the cloud's levels, ex3 strides its own panel and needs --cantor-in
+# the options each probe reads, with their defaults; a default of ... is none, the
+# option must be given. ex1's radii are tied to the cloud's levels, ex2 and ex3 have
+# their own, and ex3 strides its own panel
 _RADII = dict.fromkeys(("radii", "r_min", "r_max", "r_count"))
 _PANEL = {"base_count": 12, "base_point": None}
 _DENSITY_OPTIONS = {
-    "thm1": {"epsilon": 0.5, "s": 1.0, **_RADII, **_PANEL},
-    "thm2": {"delta": 0.25, "s": 1.0, **_RADII, **_PANEL},
+    "thm1": {"epsilon": 0.5, "s": 1.0, **_RADII, "radii": ..., **_PANEL},
+    "thm2": {"delta": 0.25, "s": 1.0, **_RADII, "radii": ..., **_PANEL},
     "ex1": _PANEL,
     "ex2": {**_RADII, **_PANEL},
-    "ex3": {"cantor_in": None, **_RADII, "base_count": 12},
+    "ex3": {"cantor_in": ..., **_RADII, "base_count": 12},
 }
 
 
@@ -101,32 +104,37 @@ def _point(text: str) -> Point:
         raise argparse.ArgumentTypeError(f"not three finite numbers x,y,t: {text!r}") from None
 
 
-def _read_options(args, table: dict, choice: str, what: str) -> None:
-    """Fill in the defaults of the options of `table` that `choice` reads; one
-    that is given but not read is a usage error."""
+def _read_options(args, table: dict, choice: str, what: str, fold=None) -> None:
+    """Fill in the defaults of the options of `table` that `choice` reads. One
+    that is given but not read is a usage error, and so is one left out whose
+    default is `...`; `fold(args)` runs between the two checks."""
     reads = table[choice]
     options = dict.fromkeys(key for row in table.values() for key in row)
     unread = [f"--{key.replace('_', '-')}" for key in options
               if key not in reads and getattr(args, key) is not None]
     if unread:
         raise ValueError(f"{what} does not read {', '.join(unread)}")
+    if fold:
+        fold(args)
     for key, default in reads.items():
         if getattr(args, key) is None:
+            if default is ...:
+                hint = " or --r-min/--r-max" if key == "radii" else ""
+                raise ValueError(f"{what} needs --{key.replace('_', '-')}{hint}")
             setattr(args, key, default)
 
 
-def _radii_from_args(args) -> list[float] | None:
-    """The radii the density options ask for, or None for the probe's own.
-    --r-min/--r-max come as a pair; the probes check the radii."""
+def _fold_radii(args) -> None:
+    """Fold --r-min/--r-max/--r-count into --radii. The pair comes together and
+    makes a log ladder; the probes check the radii."""
     if (args.r_min is None) != (args.r_max is None):
         raise ValueError("--r-min and --r-max go together")
     if args.r_min is None and args.r_count is not None:
         raise ValueError("--r-count needs --r-min and --r-max")
     if args.r_min is not None and args.radii is not None:
         raise ValueError("--radii excludes --r-min/--r-max")
-    if args.radii is None:
-        return None if args.r_min is None else delta_ladder(args.r_max, args.r_min, args.r_count)
-    return args.radii
+    if args.r_min is not None:
+        args.radii = delta_ladder(args.r_max, args.r_min, args.r_count)
 
 
 def _source_param(cloud, probe: str, key: str):
@@ -168,10 +176,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    cloud = load_cloud(args.infile)
     metric = MetricKind(args.metric)
     deltas = delta_ladder(args.delta_max, args.delta_min, args.scales)
-    counts = net_counts(cloud, deltas, metric)
+    if len(deltas) < MIN_SCALES:
+        raise ValueError(f"--scales {args.scales}: a fit needs at least {MIN_SCALES} scales")
+    counts = net_counts(load_cloud(args.infile), deltas, metric)
     est = estimate_dimension(counts, metric=metric)
     write_json(estimate_to_dict(est), args.out)
     if args.svg:
@@ -211,37 +220,32 @@ def cmd_density(args) -> int:
     if args.base_count is not None and args.base_point:
         raise ValueError("--base-count sizes the panel that --base-point replaces; "
                          "give one of them")
-    _read_options(args, _DENSITY_OPTIONS, probe, f"probe {probe}")
+    _read_options(args, _DENSITY_OPTIONS, probe, f"probe {probe}", fold=_fold_radii)
+    if args.base_count < 1:
+        raise ValueError(f"--base-count {args.base_count}: a probe needs at least one base point")
     cloud = load_cloud(args.infile)
     kind = cloud.source.get("kind")
-    radii = _radii_from_args(args)
     need = {"ex1": "ex1", "ex2": "ex2", "ex3": "fs"}.get(probe, kind)  # thm1, thm2: any cloud
     if need != kind:
         raise ValueError(f"probe {probe} needs a {need!r} cloud, got {kind!r}")
-    if args.base_count < 1:
-        raise ValueError(f"--base-count {args.base_count}: a probe needs at least one base point")
     if probe == "ex1":
         result = ex1_probe(_source_param(cloud, probe, "level"), base_count=args.base_count,
                            cloud=cloud, base_points=args.base_point)
     elif probe == "ex2":
         M, level = _source_param(cloud, probe, "M"), _source_param(cloud, probe, "level")
-        result = ex2_probe(M, level, radii, base_count=args.base_count,
+        result = ex2_probe(M, level, args.radii, base_count=args.base_count,
                            cloud=cloud, base_points=args.base_point)
     elif probe == "ex3":
         d = _source_param(cloud, probe, "d")
-        if not args.cantor_in:
-            raise ValueError("probe ex3 needs --cantor-in")
         cantor = load_cloud(args.cantor_in)
         if cantor.source.get("kind") != "cantor" or cantor.source.get("d") != d:
             raise ValueError(f"--cantor-in needs a cantor cloud with d={d}, got {cantor.source}")
-        result = ex3_probe(d, 0, 0, radii, base_count=args.base_count,
+        result = ex3_probe(d, 0, 0, args.radii, base_count=args.base_count,
                            fs_cloud=cloud, cantor_cloud_in=cantor)
     else:
-        if radii is None:
-            raise ValueError(f"probe {probe} needs radii (--radii or --r-min/--r-max)")
         bases = args.base_point or panel_from_cloud(cloud, args.base_count)
         scan, width = (thm1_scan, args.epsilon) if probe == "thm1" else (thm2_scan, args.delta)
-        result = scan(cloud, bases, width, radii, s=args.s)
+        result = scan(cloud, bases, width, args.radii, s=args.s)
     write_json(probe_result_to_dict(result), args.out)
     print(f"min ratio {result.summary['min_ratio']:.6g}, "
           f"max ratio {result.summary['max_ratio']:.6g}")
@@ -276,18 +280,8 @@ def _load_estimate(path: str, metric: str):
 def cmd_compare(args) -> int:
     dE, dH = _load_estimate(args.dimE, "euclidean"), _load_estimate(args.dimH, "heisenberg")
     verdict = check_dimension_inequalities(dE.slope, dH.slope, args.tol)
-    out = {
-        "ok": verdict.ok,
-        "dimE": dE.slope,
-        "dimH": dH.slope,
-        "beta_minus": verdict.beta_lower,
-        "beta_plus": verdict.beta_upper,
-        "lower_margin": verdict.lower_margin,
-        "upper_margin": verdict.upper_margin,
-        "tol": verdict.tol,
-    }
     if args.out:
-        write_json(out, args.out)
+        write_json({**asdict(verdict), "dimE": dE.slope, "dimH": dH.slope}, args.out)
     print(f"ok: {str(verdict.ok).lower()}")
     if args.do_assert and not verdict.ok:
         return ASSERT_ERROR

@@ -125,10 +125,12 @@ def subdivide_rect(rects: np.ndarray, n: int, lam: float) -> np.ndarray:
 
 
 def _family_size(params: ExampleParams, k: int) -> int:
+    """The level-k rectangle count, or the first partial count past MAX_POINTS."""
     count = len(params.base())
     for j in range(1, k + 1):
-        n, _ = params.schedule(j)
-        count *= 2 * n
+        if count > MAX_POINTS:
+            break
+        count *= 2 * params.schedule(j)[0]
     return count
 
 
@@ -136,11 +138,8 @@ def build_family(params: ExampleParams, k: int) -> RectFamily:
     """Apply the recipe's subdivision schedule k times starting from its base family."""
     if k < 0:
         raise ValueError(f"level must be >= 0, got {k}")
-    size = _family_size(params, k)
-    if size > MAX_POINTS:
-        raise ResourceLimitError(
-            f"level {k} would need {size} rectangles (limit {MAX_POINTS})"
-        )
+    if _family_size(params, k) > MAX_POINTS:
+        raise ResourceLimitError(f"level {k} would need more than {MAX_POINTS} rectangles")
     rects = params.base()
     for j in range(1, k + 1):
         n, lam = params.schedule(j)
@@ -294,9 +293,11 @@ def ifs_cloud(maps, depth: int, *, source: dict | None = None, err_t: float = 0.
     word-lexicographic with the outermost map as the most significant digit."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    count = len(maps) ** depth
-    if count > MAX_POINTS:
-        raise ResourceLimitError(f"depth {depth} needs {count} points (limit {MAX_POINTS})")
+    count = 1
+    for _ in range(depth):
+        count *= len(maps)
+        if count > MAX_POINTS:
+            raise ResourceLimitError(f"depth {depth} needs more than {MAX_POINTS} points")
     pts = np.zeros((1, 3))
     for _ in range(depth):
         pts = np.vstack([m(pts) for m in maps])

@@ -25,6 +25,7 @@ _EPS = float(np.finfo(float).eps)
 # hold the GIL, so two of them thrash it, while a lattice build (long sorts that release
 # the GIL) overlaps the other worker's sweep; whole sweeps are ordered, so no net changes
 _SWEEP = threading.Lock()
+MIN_SCALES = 3  # a log-log fit needs this many net counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +164,8 @@ def estimate_dimension(counts: list[NetCount],
     """Least-squares slope of log(count) against log(1/delta). The largest and
     smallest delta are dropped as plateau and saturation guards whenever at
     least five scales are available."""
-    if len(counts) < 3:
-        raise ValueError(f"need at least 3 scales, got {len(counts)}")
+    if len(counts) < MIN_SCALES:
+        raise ValueError(f"need at least {MIN_SCALES} scales, got {len(counts)}")
     ordered = sorted(counts, key=lambda c: -c.delta)
     if len(ordered) >= 5:
         dropped, used = [ordered[0], ordered[-1]], ordered[1:-1]
@@ -193,11 +194,11 @@ def local_slopes(counts: list[NetCount]) -> list[float]:
 
 def delta_ladder(hi: float, lo: float, count: int | None = None) -> list[float]:
     """Log-uniform descending scales from hi to lo: count of them, or by
-    default about 8 per decade and at least 3."""
+    default about 8 per decade and at least MIN_SCALES."""
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"a log ladder needs 0 < lo < hi < inf, got lo={lo}, hi={hi}")
     if count is None:
-        count = max(3, int(round(8 * math.log10(hi / lo))) + 1)
+        count = max(MIN_SCALES, int(round(8 * math.log10(hi / lo))) + 1)
     return list(np.geomspace(hi, lo, count))
 
 
@@ -238,8 +239,8 @@ class InequalityVerdict:
     ok: bool
     lower_margin: float   # dimH - beta_minus(dimE); negative means below the band
     upper_margin: float   # beta_plus(dimE) - dimH; negative means above the band
-    beta_lower: float
-    beta_upper: float
+    beta_minus: float
+    beta_plus: float
     tol: float
 
 
@@ -254,7 +255,7 @@ def check_dimension_inequalities(dimE: float, dimH: float, tol: float) -> Inequa
     upper_margin = hi - dimH
     ok = (lower_margin >= -tol) and (upper_margin >= -tol)
     return InequalityVerdict(ok=ok, lower_margin=lower_margin, upper_margin=upper_margin,
-                             beta_lower=lo, beta_upper=hi, tol=tol)
+                             beta_minus=lo, beta_plus=hi, tol=tol)
 
 
 def estimate_to_dict(est: DimensionEstimate) -> dict:

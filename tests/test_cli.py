@@ -67,6 +67,23 @@ def test_construct_segment_resource_limit_exits_3(tmp_path, capsys):
     assert run("construct", "--set", "xseg", "--points", "0", "--out", out) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--set", "ex1", "--level", "14"),
+    ("--set", "ex2", "--M", "2", "--level", "15000"),
+    ("--set", "hsquare", "--depth", "7200"),
+    ("--set", "cantor", "--d", "0.5", "--depth", "15000"),
+    ("--set", "fs", "--d", "0.5", "--depth", "9000", "--cantor-depth", "2"),
+], ids=["ex1", "ex2", "hsquare", "cantor", "fs"])
+def test_construct_any_depth_exits_3(tmp_path, capsys, argv):
+    # the size check stops counting past the limit, so no count is too long to print
+    out = tmp_path / "c.csv"
+    assert run("construct", *argv, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("resource limit: ")
+    assert f"more than {10**7}" in err
+    assert not out.exists()
+
+
 def test_dimension_command(tmp_path, capsys):
     cloud_path = tmp_path / "tseg.csv"
     run("construct", "--set", "tseg", "--points", "16384", "--out", cloud_path)
@@ -288,6 +305,46 @@ def test_density_base_count_with_base_point_exits_2(tmp_path, capsys, probe):
                "0,0,0", "--base-count", "7", "--out", out) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: --base-count ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("density", "--probe", "thm1"), "probe thm1 needs --radii or --r-min/--r-max"),
+    (("density", "--probe", "ex3"), "probe ex3 needs --cantor-in"),
+    (("density", "--probe", "thm2", "--radii", "0.1", "--base-count", "0"),
+     "--base-count 0: a probe needs at least one base point"),
+    (("density", "--probe", "thm2", "--r-min", "0.1"), "--r-min and --r-max go together"),
+    (("density", "--probe", "thm2", "--r-count", "5"), "--r-count needs --r-min and --r-max"),
+    (("density", "--probe", "thm2", "--radii", "0.1", "--r-min", "0.02", "--r-max", "0.2"),
+     "--radii excludes --r-min/--r-max"),
+    (("density", "--probe", "thm2", "--r-min", "0.5", "--r-max", "0.1"), "0 < lo < hi"),
+    (("dimension", "--metric", "euclidean", "--delta-min", "0.5", "--delta-max", "0.1"),
+     "0 < lo < hi"),
+    (("dimension", "--metric", "euclidean", "--delta-min", "0.1", "--delta-max", "0.5",
+      "--scales", "2"), "--scales 2: a fit needs at least 3 scales"),
+], ids=["thm1-no-radii", "ex3-no-cantor-in", "base-count-0", "lone-r-min", "lone-r-count",
+        "radii-and-range", "swapped-range", "dimension-swapped", "dimension-2-scales"])
+def test_usage_errors_come_before_the_cloud_is_read(tmp_path, capsys, argv, message):
+    # the options alone decide these, so the missing input file is never opened
+    out = tmp_path / "o.json"
+    assert run(argv[0], "--in", tmp_path / "nothere.csv", *argv[1:], "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert "nothere" not in err
+    assert not out.exists()
+
+
+def test_dimension_too_few_scales_computes_no_net(tmp_path, monkeypatch, capsys):
+    cloud_path, out = tmp_path / "xseg.csv", tmp_path / "e.json"
+    assert run("construct", "--set", "xseg", "--points", "500", "--out", cloud_path) == 0
+
+    def no_nets(*args, **kwargs):
+        raise AssertionError("net_counts called")
+
+    monkeypatch.setattr("heislab.cli.net_counts", no_nets)
+    assert run("dimension", "--in", cloud_path, "--metric", "heisenberg", "--delta-min", "0.1",
+               "--delta-max", "0.5", "--scales", "2", "--out", out) == 2
+    assert "at least 3 scales" in capsys.readouterr().err
     assert not out.exists()
 
 
