@@ -399,12 +399,19 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def write_text(text: str, path) -> None:
-    """Write text to `name.tmp`, then rename it over path: no reader sees half a file."""
+def write_text(text, path) -> None:
+    """Write text (a string, or an iterable of strings written in turn) to
+    `name.tmp`, then rename it over path: no reader sees half a file. If
+    anything raises, the temp file is removed and path is left as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(obj, path) -> None:
@@ -415,21 +422,21 @@ def write_json(obj, path) -> None:
 def save_cloud(cloud: WeightedCloud, path) -> None:
     """Write the cloud as CSV rows x,y,t,weight (CRLF line ends, repr fields, so
     load_cloud gives back every bit) plus the JSON sidecar."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     data = np.column_stack((cloud.points, cloud.weights))
     # one repr per distinct bit pattern (a prefractal repeats its coordinates;
     # keyed on bits, not values, so -0.0 keeps its own text apart from 0.0)
     bits, inv = np.unique(data.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     fields = text[inv.reshape(data.shape)]  # numpy versions differ in the inverse's shape
-    with open(tmp, "w", newline="") as fh:
-        fh.write("x,y,t,weight\r\n")
+
+    def chunks():
+        yield "x,y,t,weight\r\n"
         # joined in row blocks: the whole file as one string costs its size again
         for start in range(0, len(fields), SAVE_BLOCK_ROWS):
             block = fields[start:start + SAVE_BLOCK_ROWS]
-            fh.write(("%s,%s,%s,%s\r\n" * len(block)) % tuple(block.ravel().tolist()))
-    tmp.replace(path)
+            yield ("%s,%s,%s,%s\r\n" * len(block)) % tuple(block.ravel().tolist())
+
+    write_text(chunks(), path)
     meta = {"source": cloud.source, "total_mass": cloud.total_mass,
             "err_xy": cloud.err_xy, "err_t": cloud.err_t}
     write_json(meta, sidecar_path(path))

@@ -152,11 +152,8 @@ def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind) -> list[NetCoun
         raise ValueError("deltas must be strictly positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
-    workers = min(worker_count(), len(deltas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda d: greedy_net(cloud, d, metric)[0], deltas))
-    return [greedy_net(cloud, d, metric)[0] for d in deltas]
+    with ThreadPoolExecutor(max_workers=max(1, min(worker_count(), len(deltas)))) as pool:
+        return list(pool.map(lambda d: greedy_net(cloud, d, metric)[0], deltas))
 
 
 def estimate_dimension(counts: list[NetCount],

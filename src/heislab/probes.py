@@ -190,8 +190,6 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         raise ValueError("the density scan needs at least one base point")
     e_ball = cloud.placement_error
     point_series: list[PointSeries] = []
-    best_min = (math.inf, None, None)
-    best_max = (-math.inf, None, None)
     err = 0.0
     for p in base_points:
         dE = dist_many(cloud.points, p, MetricKind.EUCLIDEAN)
@@ -209,10 +207,6 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
             inside, outside = _split(w, dE <= r, pd <= rho)
             ratio = outside / denom
             series.append(SeriesEntry(r=r, inside=inside, outside=outside, ratio=ratio))
-            if ratio < best_min[0]:
-                best_min = (ratio, r, p)
-            if ratio > best_max[0]:
-                best_max = (ratio, r, p)
             if e_ball > 0.0 or e_plane > 0.0:
                 # mass whose classification flip could change the outside term:
                 # sphere-boundary points already clear of the slab, and
@@ -221,12 +215,11 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
                 band += float(w[(np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)].sum())
                 err = max(err, band / denom)
         point_series.append(PointSeries(p=p, series=series))
-    summary = {
-        "min_ratio": best_min[0],
-        "max_ratio": best_max[0],
-        "argmin_r": best_min[1],
-        "argmax_r": best_max[1],
-    }
+    # min and max return the first extreme entry in scan order
+    entries = [e for ps in point_series for e in ps.series]
+    lo = min(entries, key=lambda e: e.ratio)
+    hi = max(entries, key=lambda e: e.ratio)
+    summary = {"min_ratio": lo.ratio, "max_ratio": hi.ratio, "argmin_r": lo.r, "argmax_r": hi.r}
     return ProbeResult(probe=probe, convention=convention, rho_rule=rho_rule, s=s,
                        points=point_series, summary=summary, error_bound=err,
                        extra=extra or {})

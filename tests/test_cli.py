@@ -334,6 +334,30 @@ def test_usage_errors_come_before_the_cloud_is_read(tmp_path, capsys, argv, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("dimension", "--in", "{dir}", "--metric", "euclidean", "--delta-min", "0.05",
+     "--delta-max", "0.4", "--out", "{tmp}/e.json"),
+    ("density", "--in", "{dir}", "--probe", "thm1", "--radii", "0.1", "--out", "{tmp}/p.json"),
+    ("compare", "--dimE", "{dir}", "--dimH", "{dir}"),
+    ("construct", "--set", "tseg", "--points", "256", "--out", "{dir}"),
+    ("dimension", "--in", "{cloud}", "--metric", "euclidean", "--delta-min", "0.05",
+     "--delta-max", "0.4", "--out", "{dir}"),
+    ("construct", "--set", "tseg", "--points", "256", "--out", "{tmp}/s.csv", "--svg", "{dir}"),
+], ids=["dimension-in", "density-in", "compare-dimE", "construct-out", "dimension-out",
+        "construct-svg"])
+def test_directory_path_exits_2(tmp_path, capsys, argv):
+    # a file that cannot be read or written is a usage error: one line, and a
+    # failed write leaves no temp file behind
+    adir, cloud = tmp_path / "adir", tmp_path / "t.csv"
+    adir.mkdir()
+    assert run("construct", "--set", "tseg", "--points", "256", "--out", cloud) == 0
+    capsys.readouterr()
+    assert run(*(a.format(dir=adir, cloud=cloud, tmp=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_dimension_too_few_scales_computes_no_net(tmp_path, monkeypatch, capsys):
     cloud_path, out = tmp_path / "xseg.csv", tmp_path / "e.json"
     assert run("construct", "--set", "xseg", "--points", "500", "--out", cloud_path) == 0

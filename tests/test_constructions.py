@@ -28,6 +28,7 @@ from heislab.constructions import (
     save_cloud,
     segment_cloud,
     subdivide_rect,
+    write_text,
 )
 from heislab.hgeom import MetricKind, Point
 from heislab.probes import ex2_probe
@@ -432,6 +433,20 @@ def test_save_cloud_repeated_values_keep_their_bits(tmp_path):
     again = load_cloud(path)
     assert np.array_equal(again.points.view(np.int64), cloud.points.view(np.int64))
     assert np.array_equal(again.weights.view(np.int64), cloud.weights.view(np.int64))
+
+
+def test_write_text_failure_removes_temp_and_keeps_target(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new "
+        raise RuntimeError("stream broke")
+
+    with pytest.raises(RuntimeError, match="stream broke"):
+        write_text(chunks(), path)
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_load_cloud_line_ends_and_empty_lines(tmp_path):
