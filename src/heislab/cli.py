@@ -270,6 +270,8 @@ def cmd_sandwich(args) -> int:
 def _load_estimate(path: str, metric: str):
     try:
         est = estimate_from_dict(json.loads(Path(path).read_text()))
+        if not np.isfinite(est.slope):
+            raise ValueError(f"slope {est.slope} is not finite")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path} is not a dimension estimate: {exc!r}") from None
     if est.metric.value != metric:

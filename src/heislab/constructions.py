@@ -71,26 +71,21 @@ class Example2:
     M: float
 
     def __post_init__(self):
-        if not (self.M > 1.0 and math.isfinite(self.M)):
-            raise ValueError(f"M must be finite and > 1, got {self.M}")
+        if not (self.M > 1.0 and math.isfinite(34.0 * self.M)):
+            raise ValueError(f"M must be > 1 with 34M finite, got {self.M}")
 
     def base(self) -> np.ndarray:
         return np.array([[0.0, 1.0, 0.0, 1.0]])
 
     def schedule(self, k: int) -> tuple[int, float]:
-        if 2**k <= 34 * self.M:
-            return 1, 0.5
-        return 1, 34.0 * self.M * 2.0 ** (-k - 1)
+        return 1, 0.5 if k < self.switch_level() else 34.0 * self.M * 2.0 ** (-k - 1)
 
     def kind(self) -> str:
         return "ex2"
 
     def switch_level(self) -> int:
-        """First level k with 2^k > 34M (flat closed forms hold from here on)."""
-        k = 1
-        while 2**k <= 34 * self.M:
-            k += 1
-        return k
+        """First level k with 2^k > 34M, the exponent of 34M (flat closed forms hold from here)."""
+        return math.frexp(34.0 * self.M)[1]
 
 
 ExampleParams = Example1 | Example2
@@ -460,12 +455,12 @@ def _read_sidecar(mpath: Path) -> dict:
     bad = ValueError(f"{mpath}: sidecar total_mass, err_xy and err_t must be numbers")
     for key in ("total_mass", "err_xy", "err_t"):
         value = meta.get(key, 0.0)  # only the error bounds may be absent
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise bad
-        try:
-            meta[key] = float(value)
-        except OverflowError:
+        try:  # isfinite raises TypeError on a non-number, OverflowError past the float range
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise bad
+        except (TypeError, OverflowError):
             raise bad from None
+        meta[key] = float(value)
     return meta
 
 

@@ -55,6 +55,8 @@ class ComparisonReport:
 
 def worker_count() -> int:
     env = os.environ.get("HEISLAB_THREADS")
+    if not env and hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     if env and not (env.strip().isdecimal() and int(env) >= 1):
         raise ValueError(f"HEISLAB_THREADS must be a positive integer, got {env!r}")
     return int(env) if env else os.cpu_count() or 1
@@ -244,8 +246,8 @@ class InequalityVerdict:
 def check_dimension_inequalities(dimE: float, dimH: float, tol: float) -> InequalityVerdict:
     """Whether the estimated pair sits inside the comparison band
     [beta_minus(dimE), beta_plus(dimE)] up to tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     lo = beta_minus(dimE)
     hi = beta_plus(dimE)
     lower_margin = dimH - lo

@@ -57,15 +57,15 @@ class Point:
 
 def beta_minus(s: float) -> float:
     """Lower dimension-comparison bound max{s, 2s - 2}."""
-    if s < 0.0:
-        raise ValueError(f"exponent must be >= 0, got {s}")
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"exponent must be finite and >= 0, got {s}")
     return max(s, 2.0 * s - 2.0)
 
 
 def beta_plus(s: float) -> float:
     """Upper dimension-comparison bound min{2s, s + 1}."""
-    if s < 0.0:
-        raise ValueError(f"exponent must be >= 0, got {s}")
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"exponent must be finite and >= 0, got {s}")
     return min(2.0 * s, s + 1.0)
 
 

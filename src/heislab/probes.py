@@ -306,8 +306,8 @@ def ex1_probe(level: int, samples_per_rect: int = 4, base_count: int = 12,
 
 
 def ex2_window_level(r: float) -> int:
-    """The unique k with 2^(1-k) <= r < 2^(2-k)."""
-    return math.ceil(1.0 - math.log2(r))
+    """The unique k with 2^(1-k) <= r < 2^(2-k), read off the exponent of r."""
+    return 2 - math.frexp(r)[1]
 
 
 def ex2_windows(M: float, level: int) -> range:

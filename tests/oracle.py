@@ -1,5 +1,6 @@
-"""Scalar reference forms of the group law, the two metrics, the plane distance
-and the one-point mass split, which the tests compare the package's array code to."""
+"""Scalar reference forms of the group law, the two metrics, the plane distance,
+the one-point mass split and the ex2 switch level, which the tests compare the
+package's array and closed-form code to."""
 
 from __future__ import annotations
 
@@ -73,3 +74,11 @@ def density_ratio(cloud: WeightedCloud, p: Point, r: float, rho: float, s: float
     """Off-plane mass in the r-ball over (2r)^s."""
     _, outside = mass_split(cloud, p, r, rho)
     return outside / (2.0 * r) ** s
+
+
+def ex2_switch_level(M: float) -> int:
+    """First level k with 2^k > 34M, counted up from k = 1."""
+    k = 1
+    while 2**k <= 34 * M:
+        k += 1
+    return k

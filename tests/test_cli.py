@@ -482,6 +482,54 @@ def test_density_thm_scans(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("radius, code, levels", [
+    ("0.0039062499999999996", 2, None),
+    ("0.015624999999999998", 0, [8]),
+], ids=["below-2^-8-window-10", "below-2^-6-window-8"])
+def test_density_ex2_radius_just_below_a_power_of_two(tmp_path, capsys, radius, code, levels):
+    # M = 2 at level 10 has the windows k = 8, 9; the float below 2^(2-k) lies in window k
+    cloud_path, out = tmp_path / "ex2.csv", tmp_path / "p.json"
+    assert run("construct", "--set", "ex2", "--level", "10", "--M", "2", "--out", cloud_path) == 0
+    capsys.readouterr()
+    assert run("density", "--in", cloud_path, "--probe", "ex2", "--radii", radius,
+               "--out", out) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "k=10" in err
+    else:
+        assert json.loads(out.read_text())["extra"]["window_levels"] == levels
+
+
+def _cli_process(*args):
+    """Run the CLI in a child process that must finish within two minutes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-m", "heislab", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_construct_ex2_overflowing_m_exits_2(tmp_path):
+    # 34M overflows to inf, and the switch level used to be counted up to it forever
+    proc = _cli_process("construct", "--set", "ex2", "--M", "1e308", "--level", "3",
+                        "--out", tmp_path / "x.csv")
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "34M finite" in proc.stderr
+
+
+def test_density_ex2_overflowing_sidecar_m_exits_2(tmp_path):
+    cloud_path = tmp_path / "ex2.csv"
+    assert run("construct", "--set", "ex2", "--level", "9", "--M", "2", "--out", cloud_path) == 0
+    meta_path = tmp_path / "ex2.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["source"]["M"] = 1e308
+    meta_path.write_text(json.dumps(meta))
+    proc = _cli_process("density", "--in", cloud_path, "--probe", "ex2",
+                        "--out", tmp_path / "p.json")
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "34M finite" in proc.stderr
+
+
 def test_density_ex2_reads_m_from_sidecar(tmp_path):
     cloud_path = tmp_path / "ex2.csv"
     assert run("construct", "--set", "ex2", "--level", "9", "--M", "2",
@@ -512,7 +560,9 @@ def test_compare_cantor_pair(tmp_path):
     [1, 2],
     {"metric": "heisenberg", "slope": "steep", "intercept": 0.0, "r_squared": 1.0,
      "scales": []},
-], ids=["no-slope", "list", "string-slope"])
+    {"metric": "heisenberg", "slope": float("nan"), "intercept": 0.0, "r_squared": 1.0,
+     "scales": []},
+], ids=["no-slope", "list", "string-slope", "nan-slope"])
 def test_compare_malformed_estimate_exits_2(tmp_path, capsys, blob):
     cloud_path = tmp_path / "xseg.csv"
     run("construct", "--set", "xseg", "--points", "512", "--out", cloud_path)
@@ -648,6 +698,19 @@ def test_compare_assert_fails_outside_the_band(tmp_path, capsys):
     assert "ok: false" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_compare_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
+    # a nan tolerance failed every pair and an infinite one passed every pair
+    paths = []
+    for metric, slope in (("euclidean", 1.0), ("heisenberg", 3.0)):
+        paths.append(tmp_path / f"{metric}.json")
+        paths[-1].write_text(json.dumps({"metric": metric, "slope": slope, "intercept": 0.0,
+                                         "r_squared": 1.0, "scales": []}))
+    assert run("compare", "--dimE", paths[0], "--dimH", paths[1], "--tol", tol, "--assert") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "tol must be finite and >= 0" in err
+
+
 def test_reproducible_outputs(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run("sandwich", "--R", "1.5", "--samples", "5000", "--seed", "7", "--out", a)
@@ -745,9 +808,14 @@ def test_dimension_lattice_resource_limit_exits_3(tmp_path, capsys):
     ('{"source": {}, "total_mass": 1.0, "err_t": false}', "must be numbers"),
     ('{"source": {}, "total_mass": true}', "must be numbers"),
     ('{"source": {}, "total_mass": "1.0"}', "must be numbers"),
+    ('{"source": {}, "total_mass": NaN}', "must be numbers"),
+    ('{"source": {}, "total_mass": Infinity}', "must be numbers"),
+    ('{"source": {}, "total_mass": 1.0, "err_xy": 1e400}', "must be numbers"),
+    ('{"source": {}, "total_mass": 1.0, "err_t": -Infinity}', "must be numbers"),
 ], ids=["not-json", "list", "no-source", "no-source-no-mass", "no-total-mass",
         "string-source", "list-mass", "string-err", "overflowing-mass", "list-err",
-        "empty-string-err", "null-err", "false-err", "true-mass", "string-mass"])
+        "empty-string-err", "null-err", "false-err", "true-mass", "string-mass",
+        "nan-mass", "infinite-mass", "overflowing-float-err", "minus-infinite-err"])
 def test_malformed_sidecar_exits_2(tmp_path, capsys, sidecar, message):
     cloud_path = tmp_path / "c.csv"
     run("construct", "--set", "cantor", "--d", "0.5", "--depth", "3", "--out", cloud_path)
@@ -806,16 +874,11 @@ def test_old_format_sidecar_gives_the_same_ex1_probe(tmp_path, capsys):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     cloud_path = tmp_path / "tseg.csv"
     assert run("construct", "--set", "tseg", "--points", "1000", "--out", cloud_path) == 0
     out = tmp_path / "thm2.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "heislab", "density", "--in", str(cloud_path), "--probe", "thm2",
-         "--radii", "0.1", "--base-point", "0,0,0", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _cli_process("density", "--in", cloud_path, "--probe", "thm2",
+                        "--radii", "0.1", "--base-point", "0,0,0", "--out", out)
     assert proc.returncode == 0, proc.stderr
     assert "max ratio" in proc.stdout
     assert json.loads(out.read_text())["probe"] == "thm2"

@@ -32,7 +32,7 @@ from heislab.constructions import (
 )
 from heislab.hgeom import MetricKind, Point
 from heislab.probes import ex2_probe
-from oracle import ORIGIN, dist
+from oracle import ORIGIN, dist, ex2_switch_level
 
 H = MetricKind.HEISENBERG
 
@@ -173,6 +173,22 @@ def test_flat_family_sides_within_rounding(M):
 def test_flat_family_m_must_exceed_one():
     with pytest.raises(ValueError):
         Example2(1.0)
+    with pytest.raises(ValueError):  # 34M overflows: no exponent to read the switch off
+        Example2(1e308)
+
+
+def test_switch_level_matches_the_counting_loop():
+    # 2^j / 34 and both its float neighbours for every j with M > 1 and 34M finite,
+    # and log-uniform values of M; schedule halves exactly before the switch
+    bounds = [2.0**j / 34.0 for j in range(6, 1024)]
+    ms = [float(m) for b in bounds for m in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(19)))
+    ms += np.exp2(rng.uniform(0.0, 64.0, 20_000)).tolist()
+    for M in ms:
+        params = Example2(M)
+        k = params.switch_level()
+        assert k == ex2_switch_level(M), M
+        assert [params.schedule(j)[1] == 0.5 for j in (k - 1, k)] == [True, False], M
 
 
 def test_resource_limit():

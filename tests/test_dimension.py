@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -152,6 +153,16 @@ def test_net_counts_do_not_depend_on_the_worker_count(monkeypatch):
                 monkeypatch.setenv("HEISLAB_THREADS", threads)
                 counts[threads] = net_counts(cloud, deltas, metric)
             assert counts["1"] == counts["2"], (cloud.source, metric)
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    # os.cpu_count counts the machine's CPUs, not the ones the affinity mask allows
+    monkeypatch.delenv("HEISLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert dimension.worker_count() == 1
+    monkeypatch.setenv("HEISLAB_THREADS", "3")  # the variable still wins
+    assert dimension.worker_count() == 3
 
 
 def test_pooled_nets_match_serial_nets():

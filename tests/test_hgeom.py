@@ -184,6 +184,13 @@ def test_beta_bounds():
         beta_plus(-0.5)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_beta_bounds_refuse_non_finite_exponents(s):
+    for bound in (beta_minus, beta_plus):
+        with pytest.raises(ValueError, match="finite"):
+            bound(s)
+
+
 @given(st.floats(min_value=0.0, max_value=3.0))
 def test_beta_sandwich(s):
     lo, hi = beta_minus(s), beta_plus(s)

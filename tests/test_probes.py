@@ -201,6 +201,17 @@ def test_ex2_window_level():
     assert ex2_window_level(2.0**-6) == 7
 
 
+def test_ex2_window_level_at_the_window_edges():
+    # each window's bottom, both its float neighbours, and the float just below its top
+    for k in range(-60, 61):
+        low, top = 2.0 ** (1 - k), 2.0 ** (2 - k)
+        below_top = float(np.nextafter(top, 0.0))
+        for r in (float(np.nextafter(low, 0.0)), low, float(np.nextafter(low, np.inf)), below_top):
+            j = ex2_window_level(r)
+            assert 2.0 ** (1 - j) <= r < 2.0 ** (2 - j), (r, j)
+        assert ex2_window_level(low) == ex2_window_level(below_top) == k
+
+
 def test_ex2_windows_match_the_inline_rule():
     # both float neighbours of every 2^j / 68 with M > 1, the boundary itself,
     # and a few off-dyadic values
