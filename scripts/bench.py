@@ -7,7 +7,9 @@ Runs the frozen ``perfbench/run.py`` on ``nets``, ``density`` and
 ``pipeline`` at seed 0, once with ``--trace 0`` and once with ``--trace 1``,
 and keeps each run's record line and result line. The file is a record of
 one commit, not a proof of a gain: host speed drifts, so a claimed gain
-still needs alternating parent/change pairs.
+still needs alternating parent/change pairs. A run that reports
+``correct: false`` times a wrong output, so the script then exits non-zero,
+naming the run, and writes no file.
 """
 
 import argparse
@@ -37,6 +39,9 @@ def main():
     src_lines = sum(len(p.read_text().splitlines())
                     for p in sorted((ROOT / "src" / "heislab").glob("*.py")))
     runs = {f"{w}.trace{t}": run(w, t) for w in WORKLOADS for t in (0, 1)}
+    wrong = [name for name, r in runs.items() if r["result"].get("correct") is not True]
+    if wrong:
+        sys.exit(f"not recorded: perfbench reports correct: false for {', '.join(wrong)}")
     out = {"tag": args.tag, "commit": git.stdout.strip(), "src_heislab_lines": src_lines,
            "seed": 0, "runs": runs}
     path = ROOT / f"BENCH_{args.tag}.json"

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -23,6 +22,7 @@ from .constructions import (
     cantor_cloud,
     example_cloud,
     hsquare_cloud,
+    json_number,
     load_cloud,
     product_cloud,
     save_cloud,
@@ -140,11 +140,9 @@ def _fold_radii(args) -> None:
 def _source_param(cloud, probe: str, key: str):
     """The construction parameter `key` from the cloud's sidecar source: the
     family level as an integer, M and d as floats."""
-    need, convert = ("an integer", operator.index) if key == "level" else ("a number", float)
-    try:
-        return convert(cloud.source[key])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValueError(f"probe {probe} needs {need} {key} in the sidecar source") from None
+    need = "an integer" if key == "level" else "a number"
+    return json_number(cloud.source.get(key), f"probe {probe} needs {need} {key} in the "
+                       "sidecar source", integer=key == "level")
 
 
 def cmd_construct(args) -> int:
@@ -270,9 +268,7 @@ def cmd_sandwich(args) -> int:
 def _load_estimate(path: str, metric: str):
     try:
         est = estimate_from_dict(json.loads(Path(path).read_text()))
-        if not np.isfinite(est.slope):
-            raise ValueError(f"slope {est.slope} is not finite")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path} is not a dimension estimate: {exc!r}") from None
     if est.metric.value != metric:
         raise ValueError(f"{path} holds a {est.metric.value} dimension estimate, not {metric}")

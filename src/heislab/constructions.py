@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -437,6 +438,17 @@ def save_cloud(cloud: WeightedCloud, path) -> None:
     write_json(meta, sidecar_path(path))
 
 
+def json_number(value, message: str, integer: bool = False):
+    """The rule for every number read from a sidecar or a dimension estimate: a
+    JSON number finite as a float (never a bool, a string, NaN, an infinity or an
+    integer past the float range, which compares with the largest float exactly)
+    as a float, or with `integer` a JSON integer as an int; else ValueError(message)."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(message)
+    return value if integer else float(value)
+
+
 def _read_sidecar(mpath: Path) -> dict:
     """The sidecar's source, total_mass, err_xy and err_t; other keys (sidecars
     written by older versions also hold level, h, v and derived errors) are
@@ -452,15 +464,9 @@ def _read_sidecar(mpath: Path) -> dict:
         raise ValueError(f"{mpath}: sidecar lacks {', '.join(missing)}")
     if not isinstance(meta["source"], dict):
         raise ValueError(f"{mpath}: sidecar source must be a JSON object")
-    bad = ValueError(f"{mpath}: sidecar total_mass, err_xy and err_t must be numbers")
+    bad = f"{mpath}: sidecar total_mass, err_xy and err_t must be numbers"
     for key in ("total_mass", "err_xy", "err_t"):
-        value = meta.get(key, 0.0)  # only the error bounds may be absent
-        try:  # isfinite raises TypeError on a non-number, OverflowError past the float range
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise bad
-        except (TypeError, OverflowError):
-            raise bad from None
-        meta[key] = float(value)
+        meta[key] = json_number(meta.get(key, 0.0), bad)  # only the error bounds may be absent
     return meta
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructions import ResourceLimitError, WeightedCloud
+from .constructions import MAX_POINTS, ResourceLimitError, WeightedCloud, json_number
 from .hgeom import MetricKind, beta_minus, beta_plus, dist_pairs, row_dist
 
 _CHUNK = 4096  # covered flags read per step while the cursor seeks the next center
@@ -198,6 +198,8 @@ def delta_ladder(hi: float, lo: float, count: int | None = None) -> list[float]:
         raise ValueError(f"a log ladder needs 0 < lo < hi < inf, got lo={lo}, hi={hi}")
     if count is None:
         count = max(MIN_SCALES, int(round(8 * math.log10(hi / lo))) + 1)
+    if count > MAX_POINTS:
+        raise ResourceLimitError(f"a log ladder of {count} values exceeds the {MAX_POINTS} limit")
     return list(np.geomspace(hi, lo, count))
 
 
@@ -209,6 +211,22 @@ def compare_on_pairs(P, Q) -> tuple[float, float]:
     if not nz.any():
         raise ValueError("no distinct pairs supplied")
     return float((dE[nz] / dH[nz]).max()), float((dH[nz] / np.sqrt(dE[nz])).max())
+
+
+def seeded_generator(seed: int, stream: int = 0) -> np.random.Generator:
+    """The counter-based generator of stream `stream` under `seed`, which must
+    lie in [0, 2**64): the Philox key is the pair (seed, stream)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def check_samples(samples: int) -> None:
+    """A sampler draws at least one and at most MAX_POINTS samples."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if samples > MAX_POINTS:
+        raise ResourceLimitError(f"{samples} samples exceed the {MAX_POINTS} limit")
 
 
 def _ball_samples(rng: np.random.Generator, R: float, n: int) -> np.ndarray:
@@ -223,9 +241,8 @@ def fit_metric_comparison(R: float, samples: int, seed: int) -> ComparisonReport
     observed comparison ratios."""
     if not 0.0 < R < math.inf:
         raise ValueError(f"R must be finite and positive, got {R}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    check_samples(samples)
+    rng = seeded_generator(seed)
     P = _ball_samples(rng, R, samples)
     Q = _ball_samples(rng, R, samples)
     lower, upper = compare_on_pairs(P, Q)
@@ -270,11 +287,13 @@ def estimate_to_dict(est: DimensionEstimate) -> dict:
 
 
 def estimate_from_dict(d: dict) -> DimensionEstimate:
-    return DimensionEstimate(
-        slope=float(d["slope"]),
-        intercept=float(d["intercept"]),
-        r_squared=float(d["r_squared"]),
-        counts=[NetCount(s["delta"], int(s["count"])) for s in d["scales"]],
-        metric=MetricKind(d["metric"]),
-        dropped=[NetCount(s["delta"], int(s["count"])) for s in d.get("dropped_scales", [])],
-    )
+    """Read back an estimate_to_dict record, every number through json_number."""
+    def scales(rows) -> list[NetCount]:
+        return [NetCount(json_number(s["delta"], "a delta must be a finite number"),
+                         json_number(s["count"], "a count must be an integer", integer=True))
+                for s in rows]
+
+    fit = [json_number(d[key], f"{key} must be a finite number")
+           for key in ("slope", "intercept", "r_squared")]
+    return DimensionEstimate(*fit, scales(d["scales"]), MetricKind(d["metric"]),
+                             scales(d.get("dropped_scales", [])))

@@ -25,7 +25,7 @@ from .constructions import (
     level_sides,
     product_cloud,
 )
-from .dimension import delta_ladder
+from .dimension import check_samples, delta_ladder, seeded_generator
 from .hgeom import (
     MetricKind,
     Point,
@@ -143,16 +143,11 @@ def _split(weights: np.ndarray, ball: np.ndarray, near: np.ndarray) -> tuple[flo
 
 
 def _denominator(kind: str, r: float, s: float) -> float:
-    """The convention's denominator at r, which must come out finite and > 0."""
+    """The convention's denominator (c r)^s at r, which must come out finite and
+    > 0. "2r" is (2r)^s at the s = 1 that ex1 and ex2 pass, and since
+    1.0 * r == r and (2.0 * r) ** 1.0 == 2.0 * r, every bit is as spelled."""
     try:
-        if kind == "r^s":
-            denom = r**s
-        elif kind == "(2r)^s":
-            denom = (2.0 * r) ** s
-        elif kind == "2r":
-            denom = 2.0 * r
-        else:
-            raise ValueError(f"unknown denominator convention {kind!r}")
+        denom = ({"r^s": 1.0, "(2r)^s": 2.0, "2r": 2.0}[kind] * r) ** s
     except OverflowError:
         denom = math.inf
     if not 0.0 < denom < math.inf:
@@ -316,7 +311,7 @@ def ex2_windows(M: float, level: int) -> range:
     k0 = Example2(M).switch_level() + 1
     if level <= k0:
         raise ValueError(f"level {level} has no valid probing window: need a level k with "
-                         f"2^k > 68M = {68 * M} and its children built (level >= {k0 + 1})")
+                         f"2^k > 68M (k >= {k0}) and its children built (level >= {k0 + 1})")
     return range(k0, level)
 
 
@@ -340,7 +335,8 @@ def ex2_scan(cloud: WeightedCloud, M: float, level: int, radii, base_points) -> 
         k = ex2_window_level(r)
         if k not in windows:
             raise ValueError(f"radius {r} falls in window [2^{1 - k}, 2^{2 - k}) for k={k}; "
-                             f"validity needs 2^k > 68M = {68 * M} and k+1 <= level = {level}")
+                             f"validity needs 2^k > 68M (k >= {windows.start}) and "
+                             f"k+1 <= level = {level}")
     return scan_density(cloud, base_points, radii, rule, 1.0, "2r", probe="ex2",
                         extra={"window_levels": sorted({ex2_window_level(r) for r in radii})})
 
@@ -452,8 +448,7 @@ def sandwich_sample(R: float, r_values, samples: int, seed: int) -> SandwichRepo
     r_values = tuple(float(r) for r in r_values)
     if not r_values or any(not (0.0 < r <= 1.0) for r in r_values):
         raise ValueError("each r must lie in (0, 1]")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_samples(samples)
     E, H = MetricKind.EUCLIDEAN, MetricKind.HEISENBERG
     inner_scale = 1.0 / math.sqrt(2.0 * (1.0 + 4.0 * R * R))
     per = [samples // len(r_values)] * len(r_values)
@@ -464,7 +459,7 @@ def sandwich_sample(R: float, r_values, samples: int, seed: int) -> SandwichRepo
     for stream, (r, n) in enumerate(zip(r_values, per)):
         if n == 0:
             continue
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        rng = seeded_generator(seed, stream)
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         rad = R * np.sqrt(rng.random(n))
         px, py = rad * np.cos(theta), rad * np.sin(theta)

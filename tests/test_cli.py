@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -255,11 +256,17 @@ def test_density_ex1_needs_level_2(tmp_path, capsys):
     (("--set", "ex1", "--level", "3"), "ex1", "level", "3"),
     (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", "M", None),
     (("--set", "fs", "--d", "0.5", "--depth", "2", "--cantor-depth", "4"), "ex3", "d", None),
+    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", "M", "2"),
+    (("--set", "fs", "--d", "0.5", "--depth", "2", "--cantor-depth", "4"), "ex3", "d", "0.5"),
+    (("--set", "ex1", "--level", "3"), "ex1", "level", True),
+    (("--set", "ex2", "--level", "9", "--M", "2"), "ex2", "level", True),
 ], ids=["ex1-no-level", "ex2-no-level", "ex1-fractional-level", "ex1-string-level",
-        "ex2-no-M", "fs-no-d"])
+        "ex2-no-M", "fs-no-d", "ex2-string-M", "fs-string-d", "ex1-bool-level",
+        "ex2-bool-level"])
 def test_density_sidecar_without_parameter_exits_2(tmp_path, capsys, construct, probe, key,
                                                    value):
-    # None deletes the key; the level counts subdivisions, so it must be a JSON integer
+    # None deletes the key; the level counts subdivisions, so it must be a JSON integer, and
+    # every value is a JSON number: "2" is not read as 2, nor true as 1
     cloud_path, cantor_path = tmp_path / "c.csv", tmp_path / "cantor.csv"
     run("construct", *construct, "--out", cloud_path)
     run("construct", "--set", "cantor", "--d", "0.5", "--depth", "4", "--out", cantor_path)
@@ -500,13 +507,55 @@ def test_density_ex2_radius_just_below_a_power_of_two(tmp_path, capsys, radius, 
         assert json.loads(out.read_text())["extra"]["window_levels"] == levels
 
 
-def _cli_process(*args):
-    """Run the CLI in a child process that must finish within two minutes."""
+def _cli_process(*args, address_space=None):
+    """Run the CLI in a child process that must finish within two minutes, its
+    address space capped at `address_space` bytes if given."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run([sys.executable, "-m", "heislab", *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap if address_space else None)
+
+
+def test_construct_ex2_huge_m_message_is_finite(tmp_path):
+    # 34M is finite but 68M is not: the message states the threshold by levels
+    proc = _cli_process("construct", "--set", "ex2", "--M", "3e306", "--level", "3",
+                        "--out", tmp_path / "x.csv")
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "inf" not in proc.stderr
+    assert "level >= 1026" in proc.stderr
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_sandwich_seed_out_of_range_exits_2(tmp_path, capsys, seed):
+    # the generator's key is a 64-bit word, so neither seed has a key
+    assert run("sandwich", "--R", "2", "--samples", "10", "--seed", seed,
+               "--out", tmp_path / "s.json") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must lie in [0, 2**64)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sandwich", "--R", "2", "--samples", "10000000000"),
+    ("dimension", "--in", "c.csv", "--metric", "euclidean", "--delta-min", "0.01",
+     "--delta-max", "0.2", "--scales", "1000000000"),
+    ("density", "--in", "c.csv", "--probe", "thm1", "--r-min", "0.01", "--r-max", "0.2",
+     "--r-count", "1000000000"),
+], ids=["sandwich-samples", "dimension-scales", "density-r-count"])
+def test_huge_count_exits_3_before_allocating(tmp_path, argv):
+    # each would need 7-25 GiB; under a 3 GB address space a missing check fails fast
+    # with a MemoryError traceback instead of exhausting the host
+    assert run("construct", "--set", "cantor", "--depth", "4", "--out", tmp_path / "c.csv") == 0
+    argv = [str(tmp_path / a) if a == "c.csv" else a for a in argv]
+    proc = _cli_process(*argv, "--out", tmp_path / "o.json", address_space=3 * 10**9)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "exceed" in proc.stderr and "10000000" in proc.stderr
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_construct_ex2_overflowing_m_exits_2(tmp_path):
@@ -562,7 +611,14 @@ def test_compare_cantor_pair(tmp_path):
      "scales": []},
     {"metric": "heisenberg", "slope": float("nan"), "intercept": 0.0, "r_squared": 1.0,
      "scales": []},
-], ids=["no-slope", "list", "string-slope", "nan-slope"])
+    {"metric": "heisenberg", "slope": "1.0", "intercept": 0.0, "r_squared": 1.0,
+     "scales": []},
+    {"metric": "heisenberg", "slope": True, "intercept": 0.0, "r_squared": 1.0,
+     "scales": []},
+    {"metric": "heisenberg", "slope": 1.0, "intercept": 0.0, "r_squared": 1.0,
+     "scales": [{"delta": 0.5, "count": 2.5}]},
+], ids=["no-slope", "list", "string-slope", "nan-slope", "numeric-string-slope", "bool-slope",
+        "fractional-count"])
 def test_compare_malformed_estimate_exits_2(tmp_path, capsys, blob):
     cloud_path = tmp_path / "xseg.csv"
     run("construct", "--set", "xseg", "--points", "512", "--out", cloud_path)

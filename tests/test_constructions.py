@@ -22,6 +22,7 @@ from heislab.constructions import (
     hsquare_cloud,
     hsquare_ifs,
     ifs_cloud,
+    json_number,
     level_sides,
     load_cloud,
     product_cloud,
@@ -484,3 +485,17 @@ def test_load_cloud_line_ends_and_empty_lines(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(ValueError, match="unexpected CSV header"):
         load_cloud(path)
+
+
+def test_json_number_is_one_rule_for_file_numbers():
+    assert json_number(3, "x") == 3.0 and type(json_number(3, "x")) is float
+    assert json_number(-2.5, "x") == -2.5
+    assert json_number(10**308, "x") == 1e308
+    assert json_number(7, "x", integer=True) == 7 and type(json_number(7, "x", True)) is int
+    for value in (True, False, None, "1", "1.0", [], {}, math.nan, math.inf, -math.inf,
+                  10**400, -(10**400)):
+        with pytest.raises(ValueError, match="^bad$"):
+            json_number(value, "bad")
+    for value in (True, 2.0, 2.5, "2", None, 10**400):
+        with pytest.raises(ValueError, match="^bad$"):
+            json_number(value, "bad", integer=True)

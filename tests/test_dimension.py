@@ -28,6 +28,7 @@ from heislab.dimension import (
     fit_metric_comparison,
     greedy_net,
     net_counts,
+    seeded_generator,
 )
 from heislab.hgeom import MetricKind, dist_many, row_dist
 
@@ -327,6 +328,42 @@ def test_fit_metric_comparison_bounded():
 def test_fit_metric_comparison_needs_finite_positive_R(R):
     with pytest.raises(ValueError, match="finite and positive"):
         fit_metric_comparison(R=R, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("seed, lower, upper", [
+    (1, 3.1197722838520834, 1.9842590998455087),
+    (2**64 - 1, 3.1646498600130317, 1.9995852752879224),
+])
+def test_fit_metric_comparison_draws_as_recorded(seed, lower, upper):
+    # recorded while the generator was keyed on np.uint64(seed), which draws as (seed, 0)
+    rep = fit_metric_comparison(R=2.0, samples=5000, seed=seed)
+    assert (rep.sup_ratio_lower, rep.sup_ratio_upper) == (lower, upper)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeded_generator_refuses_a_seed_past_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must lie in"):
+        seeded_generator(seed)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        fit_metric_comparison(R=2.0, samples=10, seed=seed)
+
+
+def test_sample_and_scale_counts_past_the_limit_raise_before_allocating():
+    with pytest.raises(ResourceLimitError, match="10000000"):
+        fit_metric_comparison(R=2.0, samples=10**7 + 1, seed=0)
+    with pytest.raises(ResourceLimitError, match="10000000"):
+        dimension.delta_ladder(1.0, 0.5, 10**7 + 1)
+
+
+def test_estimate_from_dict_reads_every_number_through_one_rule():
+    good = estimate_to_dict(estimate_dimension([NetCount(2.0**-j, 2**j) for j in range(1, 6)]))
+    assert estimate_from_dict(good).slope == 1.0
+    for edit in ({"slope": "1.0"}, {"intercept": True}, {"r_squared": None},
+                 {"slope": math.inf}, {"scales": [{"delta": "0.5", "count": 2}]},
+                 {"scales": [{"delta": 0.5, "count": 2.0}]},
+                 {"dropped_scales": [{"delta": 0.5, "count": True}]}):
+        with pytest.raises(ValueError, match="must be"):
+            estimate_from_dict({**good, **edit})
 
 
 def test_check_dimension_inequalities():

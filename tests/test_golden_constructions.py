@@ -9,6 +9,11 @@ The sha256 covers the native (little-endian float64) bytes of each array.
 The density digests were recorded once, from the CLI that rebuilt each
 rectangle family itself to choose its base points and default radii, before
 `density` handed the loaded cloud to `ex1_probe` and `ex2_probe`.
+
+The `dimension`, `compare` and `sandwich` digests were recorded once, from the
+CLI that read estimates with `float` and `int` and keyed each sampler's
+generator on its own, before every number read from a file went through one
+rule and the samplers shared one generator helper.
 """
 
 import hashlib
@@ -89,3 +94,39 @@ def test_density_json_is_byte_identical(tmp_path, name):
     assert main(["density", "--in", str(cloud_path), "--probe", construct[1], *density,
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+# the README's cantor example: E and H dimension at its scales, then compare
+README_CANTOR_GOLDEN = {
+    "dE.json": (("--metric", "euclidean", "--delta-min", "0.0009765625", "--delta-max", "0.25"),
+                "4e8a2c0a2b72d0ce4b97ed28a9381919063b1a5acd48f001703728556a40cad5"),
+    "dH.json": (("--metric", "heisenberg", "--delta-min", "0.03125", "--delta-max", "0.5"),
+                "1364edcb1b4410980511ac7c3375b92218541fd359f81edd6feaa7ec166ad5d7"),
+}
+COMPARE_SHA = "9463ba917b45c8370ba02cafeeb5202e2aa3a2b86f81fe57a3a194d78847fa27"
+SANDWICH_SHA = "9a3356fa11c564f9e523121332b70cdb70ba5b4da15f92846b761387e5a8e420"
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_readme_cantor_dimension_and_compare_json_is_byte_identical(tmp_path):
+    cloud_path = tmp_path / "cantor.csv"
+    assert main(["construct", "--set", "cantor", "--d", "0.5", "--depth", "7",
+                 "--out", str(cloud_path)]) == 0
+    for name, (argv, sha) in README_CANTOR_GOLDEN.items():
+        assert main(["dimension", "--in", str(cloud_path), *argv, "--scales", "5",
+                     "--out", str(tmp_path / name)]) == 0
+        assert _sha(tmp_path / name) == sha, name
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--dimE", str(tmp_path / "dE.json"), "--dimH",
+                 str(tmp_path / "dH.json"), "--assert", "--out", str(out)]) == 0
+    assert _sha(out) == COMPARE_SHA
+
+
+def test_sandwich_json_is_byte_identical(tmp_path):
+    out = tmp_path / "sandwich.json"
+    assert main(["sandwich", "--R", "2", "--samples", "2000", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert _sha(out) == SANDWICH_SHA

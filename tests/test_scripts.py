@@ -1,5 +1,6 @@
 """The scripts in scripts/ run at small size, exit 0 and print their headline."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,3 +25,22 @@ def test_script_runs(script, args, headline):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].startswith(headline)
+
+
+@pytest.mark.parametrize("correct", [True, False], ids=["correct", "wrong-output"])
+def test_bench_writes_no_record_of_a_wrong_output(tmp_path, monkeypatch, correct):
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "run", lambda w, t: {
+        "record": {}, "result": {"correct": correct or (w, t) != ("density", 1)}})
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--tag", "t"])
+    if correct:
+        bench.main()
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_t.json"]
+    else:
+        with pytest.raises(SystemExit) as exc:
+            bench.main()
+        assert "density.trace1" in str(exc.value.code)
+        assert not any(tmp_path.iterdir())
