@@ -7,7 +7,7 @@ import argparse
 
 import numpy as np
 
-from heislab.constructions import Example1, build_family, family_cloud, level_sides, segment_cloud
+from heislab.constructions import Example1, build_family, example_cloud, level_sides, segment_cloud
 from heislab.hgeom import Point
 from heislab.probes import ex1_probe, ex2_probe, panel_from_rects, thm1_scan, thm2_scan
 
@@ -19,7 +19,7 @@ def main():
     args = ap.parse_args()
 
     family = build_family(Example1(), args.level)
-    cloud = family_cloud(family, 4, kind="ex1")
+    cloud = example_cloud(Example1(), args.level, 4)
     h_by = {k: level_sides(Example1(), k)[0] for k in range(args.level + 1)}
 
     res = ex1_probe(args.level, cloud=cloud)

@@ -57,16 +57,27 @@ USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 ASSERT_ERROR = 4
 
-# the construct options each set reads, with their defaults
-_CONSTRUCT_OPTIONS = {
-    "ex1": {"level": 3, "samples_per_rect": 1},
-    "ex2": {"M": 2.0, "level": 3, "samples_per_rect": 1},
-    "hsquare": {"depth": 6},
-    "cantor": {"d": 0.5, "depth": 6},
-    "fs": {"d": 0.5, "depth": 6, "cantor_depth": 6},
-    "xseg": {"points": 4096},
-    "tseg": {"points": 4096},
+
+def _ex2_cloud(o):
+    ex2_windows(o.M, o.level)  # the ex2 probe needs a window at this level
+    return example_cloud(Example2(o.M), o.level, o.samples_per_rect)
+
+
+# each set construct builds: the options it reads with their defaults, which also
+# give each option its type, and its builder, called on the filled-in options
+_SETS = {
+    "ex1": ({"level": 3, "samples_per_rect": 1},
+            lambda o: example_cloud(Example1(), o.level, o.samples_per_rect)),
+    "ex2": ({"M": 2.0, "level": 3, "samples_per_rect": 1}, _ex2_cloud),
+    "hsquare": ({"depth": 6}, lambda o: hsquare_cloud(o.depth)),
+    "cantor": ({"d": 0.5, "depth": 6}, lambda o: cantor_cloud(o.d, o.depth)),
+    "fs": ({"d": 0.5, "depth": 6, "cantor_depth": 6},
+           lambda o: product_cloud(hsquare_cloud(o.depth), cantor_cloud(o.d, o.cantor_depth))),
+    "xseg": ({"points": 4096}, lambda o: segment_cloud("x", 0.0, 1.0, o.points)),
+    "tseg": ({"points": 4096}, lambda o: segment_cloud("t", -1.0, 1.0, o.points)),
 }
+_SET_OPTIONS = {kind: options for kind, (options, _) in _SETS.items()}
+
 # the options each probe reads, with their defaults; a default of ... is none, the
 # option must be given. ex1's radii are tied to the cloud's levels, ex2 and ex3 have
 # their own, and ex3 strides its own panel
@@ -146,29 +157,12 @@ def _source_param(cloud, probe: str, key: str):
 
 
 def cmd_construct(args) -> int:
-    kind = args.set
-    _read_options(args, _CONSTRUCT_OPTIONS, kind, f"set {kind}")
-    if kind == "ex1":
-        cloud = example_cloud(Example1(), args.level, args.samples_per_rect)
-    elif kind == "ex2":
-        ex2_windows(args.M, args.level)  # the ex2 probe needs a window at this level
-        cloud = example_cloud(Example2(args.M), args.level, args.samples_per_rect)
-    elif kind == "hsquare":
-        cloud = hsquare_cloud(args.depth)
-    elif kind == "cantor":
-        cloud = cantor_cloud(args.d, args.depth)
-    elif kind == "fs":
-        cloud = product_cloud(hsquare_cloud(args.depth), cantor_cloud(args.d, args.cantor_depth))
-    elif kind == "xseg":
-        cloud = segment_cloud("x", 0.0, 1.0, args.points)
-    else:
-        cloud = segment_cloud("t", -1.0, 1.0, args.points)
+    _read_options(args, _SET_OPTIONS, args.set, f"set {args.set}")
+    cloud = _SETS[args.set][1](args)
     save_cloud(cloud, args.out)
     if args.svg:
-        vertical = kind in ("ex1", "ex2", "cantor", "xseg", "tseg", "fs")
-        xs = cloud.points[:, 0]
-        ys = cloud.points[:, 2] if vertical else cloud.points[:, 1]
-        write_text(_svg.svg_scatter(xs, ys), args.svg)
+        ys = cloud.points[:, 1 if args.set == "hsquare" else 2]
+        write_text(_svg.svg_scatter(cloud.points[:, 0], ys), args.svg)
     print(f"wrote {len(cloud)} points, total mass {cloud.total_mass}")
     return 0
 
@@ -201,16 +195,14 @@ def _probe_gate(result, probe: str) -> bool:
         return ok >= 0.9 * len(mins)
     if probe == "thm2":
         return s["max_ratio"] > 2.0 ** (-(result.s + 1.0))
-    # ex3: the worst-over-panel ratio at each radius, the empirical uniform
-    # lower envelope, must stay positive and stable across the radius decades
-    by_r: dict[float, list[float]] = {}
-    for ps in result.points:
-        for e in ps.series:
-            by_r.setdefault(e.r, []).append(e.ratio)
-    envelope = [min(v) for _, v in sorted(by_r.items())]
-    if not envelope or min(envelope) <= 0:
+    # ex3: the worst-over-panel ratio at each radius, the empirical uniform lower
+    # envelope, must stay positive and stable across the radius decades. Every base
+    # point scans the same radii in the same order; a degenerate probe scans none
+    if not result.points:
         return False
-    return min(envelope) >= 0.5 * float(np.median(envelope))
+    envelope = np.min([[e.ratio for e in ps.series] for ps in result.points], axis=0)
+    worst = envelope.min()
+    return worst > 0 and worst >= 0.5 * np.median(envelope)
 
 
 def cmd_density(args) -> int:
@@ -256,10 +248,13 @@ def cmd_density(args) -> int:
 def cmd_sandwich(args) -> int:
     rep = sandwich_sample(args.R, args.r_values, args.samples, args.seed)
     write_json(sandwich_report_to_dict(rep), args.out)
-    print(f"inner violations {rep.inner_violations}, outer violations {rep.outer_violations}")
+    print(f"inner violations {rep.inner_violations} of {rep.inner_hits} hits, "
+          f"outer violations {rep.outer_violations} of {rep.outer_hits} hits")
     # the literal-r Euclidean half of outer_violations is false off the t-axis
-    # (it needs c_R * r), so the gate checks the inner and plane halves only
-    if args.do_assert and (rep.inner_violations or rep.outer_plane_violations):
+    # (it needs c_R * r), so the gate checks the inner and plane halves only; a
+    # half without a hit checked nothing and fails
+    if args.do_assert and (rep.inner_violations or rep.outer_plane_violations
+                           or not (rep.inner_hits and rep.outer_hits)):
         print("assertion gate failed", file=sys.stderr)
         return ASSERT_ERROR
     return 0
@@ -291,14 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a point cloud and write CSV + sidecar")
-    c.add_argument("--set", required=True, choices=list(_CONSTRUCT_OPTIONS))
-    c.add_argument("--level", type=int)
-    c.add_argument("--M", type=float)
-    c.add_argument("--d", type=float)
-    c.add_argument("--depth", type=int)
-    c.add_argument("--cantor-depth", type=int)
-    c.add_argument("--samples-per-rect", type=int)
-    c.add_argument("--points", type=int)
+    c.add_argument("--set", required=True, choices=list(_SETS))
+    types = {key: type(default) for row in _SET_OPTIONS.values() for key, default in row.items()}
+    for key, kind in types.items():
+        c.add_argument(f"--{key.replace('_', '-')}", type=kind)
     c.add_argument("--out", required=True)
     c.add_argument("--svg")
     c.set_defaults(func=cmd_construct)

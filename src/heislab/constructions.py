@@ -283,7 +283,7 @@ def cantor_ifs(d: float) -> tuple[float, tuple]:
                     for b in (0.0, 1.0 - r))
 
 
-def ifs_cloud(maps, depth: int, *, source: dict | None = None, err_t: float = 0.0) -> WeightedCloud:
+def ifs_cloud(maps, depth: int, *, source: dict, err_t: float = 0.0) -> WeightedCloud:
     """Full address enumeration from the origin to the given depth: one point per
     length-`depth` word, uniform weights (len(maps))^(-depth). Point order is
     word-lexicographic with the outermost map as the most significant digit."""
@@ -302,7 +302,7 @@ def ifs_cloud(maps, depth: int, *, source: dict | None = None, err_t: float = 0.
         points=pts,
         weights=w,
         total_mass=1.0,
-        source=source or {"kind": "ifs", "depth": depth},
+        source=source,
         err_t=err_t,
     )
 
@@ -332,9 +332,12 @@ def cantor_cloud(d: float, depth: int) -> WeightedCloud:
 
 
 def product_cloud(qh: WeightedCloud, cantor: WeightedCloud) -> WeightedCloud:
-    """Vertical product {(x, y, t + t')}: every pair of a base point and a
-    t-axis point, with product weights."""
-    if np.any(cantor.points[:, 0] != 0.0) or np.any(cantor.points[:, 1] != 0.0):
+    """The set fs: the vertical product {(x, y, t + t')} of an hsquare cloud and a
+    t-axis cantor cloud, every pair of points, with product weights."""
+    kinds = (qh.source.get("kind"), cantor.source.get("kind"))
+    if kinds != ("hsquare", "cantor"):
+        raise ValueError(f"fs is the product of an hsquare and a cantor cloud, got {kinds}")
+    if np.any(cantor.points[:, :2] != 0.0):
         raise ValueError("second factor must lie on the t-axis")
     n, m = len(qh), len(cantor)
     if n * m > MAX_POINTS:
@@ -342,17 +345,12 @@ def product_cloud(qh: WeightedCloud, cantor: WeightedCloud) -> WeightedCloud:
     pts = np.repeat(qh.points, m, axis=0)
     pts[:, 2] += np.tile(cantor.points[:, 2], n)
     w = (qh.weights[:, None] * cantor.weights[None, :]).reshape(-1)
-    d = cantor.source.get("d")
     return WeightedCloud(
         points=pts,
         weights=w,
         total_mass=qh.total_mass * cantor.total_mass,
-        source={
-            "kind": "fs",
-            "d": d,
-            "qh_depth": qh.source.get("depth"),
-            "cantor_depth": cantor.source.get("depth"),
-        },
+        source={"kind": "fs", "d": cantor.source.get("d"), "qh_depth": qh.source.get("depth"),
+                "cantor_depth": cantor.source.get("depth")},
         err_xy=qh.err_xy + cantor.err_xy,
         err_t=qh.err_t + cantor.err_t,
     )

@@ -229,6 +229,16 @@ def check_samples(samples: int) -> None:
         raise ResourceLimitError(f"{samples} samples exceed the {MAX_POINTS} limit")
 
 
+def check_R(R: float, r: float = 1.0) -> None:
+    """A sampler's R must lie in (0, 2^20 r], r its smallest test radius. The twist
+    of points about R from the t-axis rounds at about R^2 2^-52, which at R = 2^20 r
+    is 2^-12 r^2, and the tests compare it with r^2. fit_metric_comparison has no
+    test radius and reads pairs at the unit scale, r = 1."""
+    if not 0.0 < R <= 2.0**20 * r:
+        raise ValueError(f"R must be finite and positive and at most 2^20 * {r:g} "
+                         f"= {2.0**20 * r:g}, got {R}")
+
+
 def _ball_samples(rng: np.random.Generator, R: float, n: int) -> np.ndarray:
     v = rng.normal(size=(n, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -239,8 +249,7 @@ def _ball_samples(rng: np.random.Generator, R: float, n: int) -> np.ndarray:
 def fit_metric_comparison(R: float, samples: int, seed: int) -> ComparisonReport:
     """Draw seeded uniform pairs in the Euclidean R-ball and report the two
     observed comparison ratios."""
-    if not 0.0 < R < math.inf:
-        raise ValueError(f"R must be finite and positive, got {R}")
+    check_R(R)
     check_samples(samples)
     rng = seeded_generator(seed)
     P = _ball_samples(rng, R, samples)

@@ -20,12 +20,12 @@ from .constructions import (
     WeightedCloud,
     build_family,
     cantor_cloud,
-    family_cloud,
+    example_cloud,
     hsquare_cloud,
     level_sides,
     product_cloud,
 )
-from .dimension import check_samples, delta_ladder, seeded_generator
+from .dimension import check_R, check_samples, delta_ladder, seeded_generator
 from .hgeom import (
     MetricKind,
     Point,
@@ -64,8 +64,8 @@ class Linear:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
 
     def rho(self, r: float) -> float:
         return self.delta * r
@@ -144,10 +144,12 @@ def _split(weights: np.ndarray, ball: np.ndarray, near: np.ndarray) -> tuple[flo
 
 def _denominator(kind: str, r: float, s: float) -> float:
     """The convention's denominator (c r)^s at r, which must come out finite and
-    > 0. "2r" is (2r)^s at the s = 1 that ex1 and ex2 pass, and since
-    1.0 * r == r and (2.0 * r) ** 1.0 == 2.0 * r, every bit is as spelled."""
+    > 0; it is NaN for a non-finite s, where 1.0 ** nan == 1.0 ** inf == 1.0. "2r"
+    is (2r)^s at the s = 1 that ex1 and ex2 pass, and since 1.0 * r == r and
+    (2.0 * r) ** 1.0 == 2.0 * r, every bit is as spelled."""
+    c = {"r^s": 1.0, "(2r)^s": 2.0, "2r": 2.0}[kind]
     try:
-        denom = ({"r^s": 1.0, "(2r)^s": 2.0, "2r": 2.0}[kind] * r) ** s
+        denom = (c * r) ** s if math.isfinite(s) else math.nan
     except OverflowError:
         denom = math.inf
     if not 0.0 < denom < math.inf:
@@ -293,7 +295,7 @@ def ex1_probe(level: int, samples_per_rect: int = 4, base_count: int = 12,
     params = Example1()
     family = build_family(params, level)
     if cloud is None:
-        cloud = family_cloud(family, samples_per_rect, kind="ex1")
+        cloud = example_cloud(params, level, samples_per_rect)
     h_by_level = {k: level_sides(params, k)[0] for k in range(level + 1)}
     if base_points is None:
         base_points = panel_from_rects(family, base_count, x_max=EX1_PANEL_X_MAX)
@@ -349,7 +351,7 @@ def ex2_probe(M: float, level: int, radii=None, samples_per_rect: int = 4,
     ex2_windows(M, level)  # refuse a level without a window before building it
     family = build_family(Example2(M), level)
     if cloud is None:
-        cloud = family_cloud(family, samples_per_rect, kind="ex2", extra_source={"M": M})
+        cloud = example_cloud(Example2(M), level, samples_per_rect)
     if radii is None:
         radii = ex2_default_radii(M, level)
     if base_points is None:
@@ -443,11 +445,10 @@ def sandwich_sample(R: float, r_values, samples: int, seed: int) -> SandwichRepo
     Violation counts for each direction are returned, with the outer count also
     split into its plane and Euclidean-ball components.
     """
-    if not 0.0 < R < math.inf:
-        raise ValueError(f"R must be finite and positive, got {R}")
     r_values = tuple(float(r) for r in r_values)
     if not r_values or any(not (0.0 < r <= 1.0) for r in r_values):
         raise ValueError("each r must lie in (0, 1]")
+    check_R(R, min(r_values))
     check_samples(samples)
     E, H = MetricKind.EUCLIDEAN, MetricKind.HEISENBERG
     inner_scale = 1.0 / math.sqrt(2.0 * (1.0 + 4.0 * R * R))

@@ -417,6 +417,21 @@ def test_density_ex3_degenerate(tmp_path):
     assert run(*argv, "--assert") == 4
 
 
+@pytest.mark.parametrize("radii, code", [
+    ("0.5,0.2,0.1,0.05", 0),  # per-radius envelope 0.52, 0.71, 0.93, 3.49
+    ("2,1,0.5,0.25", 4),  # envelope 0.16, 0.53, 0.52, 0.63: the least is under half the median
+], ids=["stable", "unstable"])
+def test_density_ex3_assert_gate(tmp_path, radii, code):
+    fs_path, cantor_path = tmp_path / "fs.csv", tmp_path / "cantor.csv"
+    run("construct", "--set", "fs", "--d", "0.5", "--depth", "3", "--cantor-depth", "4",
+        "--out", fs_path)
+    run("construct", "--set", "cantor", "--d", "0.5", "--depth", "4", "--out", cantor_path)
+    out = tmp_path / "p.json"
+    assert run("density", "--in", fs_path, "--probe", "ex3", "--cantor-in", cantor_path,
+               "--radii", radii, "--out", out, "--assert") == code
+    assert json.loads(out.read_text())["extra"]["status"] == "ok"
+
+
 @pytest.mark.parametrize("point", ["0,0", "0,0,0,1", "abc,0,0", "inf,0,0"])
 def test_density_base_point_needs_three_fields(tmp_path, capsys, point):
     tseg_path = tmp_path / "tseg.csv"
@@ -689,6 +704,46 @@ def test_sandwich_infinite_R_exits_2(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert run("sandwich", "--R", "inf", "--samples", "100", "--out", out, "--assert") == 2
     assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sandwich_gate_fails_without_an_inner_hit(tmp_path, capsys):
+    # at R = 1000 no inner candidate lands in the lens: that half checks nothing
+    out = tmp_path / "s.json"
+    assert run("sandwich", "--R", "1000", "--samples", "3000", "--seed", "0", "--out", out) == 0
+    rep = json.loads(out.read_text())
+    assert (rep["inner_hits"], rep["inner_violations"], rep["outer_plane_violations"]) == (0, 0, 0)
+    assert rep["outer_hits"] > 0
+    capsys.readouterr()
+    assert run("sandwich", "--R", "1000", "--samples", "3000", "--seed", "0", "--out", out,
+               "--assert") == 4
+    assert capsys.readouterr().err == "assertion gate failed\n"
+
+
+@pytest.mark.parametrize("R", ["1e200", "104858"])
+def test_sandwich_R_past_the_twist_resolution_exits_2(tmp_path, capsys, R):
+    # the bound is 2^20 times the smallest r (0.1 here): 104857.6
+    # the suite turns warnings into errors, so a numpy overflow warning fails it
+    out = tmp_path / "s.json"
+    assert run("sandwich", "--R", R, "--samples", "3000", "--out", out, "--assert") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: R must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--probe", "thm2", "--delta", "inf", "--radii", "0.5"),
+    ("--probe", "thm1", "--s", "inf", "--radii", "1"),
+    ("--probe", "thm1", "--s", "nan", "--radii", "1"),
+], ids=["delta-inf", "s-inf", "s-nan"])
+def test_density_non_finite_parameter_exits_2(tmp_path, capsys, argv):
+    # each wrote Infinity or NaN into the JSON (1.0 ** nan == 1.0) and exited 0
+    cloud_path, out = tmp_path / "tseg.csv", tmp_path / "p.json"
+    run("construct", "--set", "tseg", "--points", "200", "--out", cloud_path)
+    capsys.readouterr()
+    assert run("density", "--in", cloud_path, *argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
     assert not out.exists()
 
 

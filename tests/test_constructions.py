@@ -292,7 +292,7 @@ def test_cantor_gauge_contraction(d, t1, t2):
 
 
 def test_ifs_cloud_depth_zero():
-    cloud = ifs_cloud(hsquare_ifs(), 0)
+    cloud = ifs_cloud(hsquare_ifs(), 0, source={"kind": "hsquare", "depth": 0})
     assert len(cloud) == 1
     assert Point.from_array(cloud.points[0]) == ORIGIN
     assert cloud.weights[0] == 1.0
@@ -315,7 +315,7 @@ def test_cantor_cloud_depth_two_values():
 
 def test_ifs_cloud_resource_limit():
     with pytest.raises(ResourceLimitError):
-        ifs_cloud(hsquare_ifs(), 13)
+        ifs_cloud(hsquare_ifs(), 13, source={"kind": "hsquare", "depth": 13})
 
 
 def test_product_cloud():
@@ -341,6 +341,23 @@ def test_product_rejects_off_axis():
     qh = hsquare_cloud(2)
     with pytest.raises(ValueError):
         product_cloud(qh, qh)
+
+
+def test_ifs_cloud_needs_a_source():
+    # the cloud's source is the one record of what it is: no generic "ifs" default
+    with pytest.raises(TypeError, match="source"):
+        ifs_cloud(hsquare_ifs(), 2)
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: (segment_cloud("x", 0.0, 1.0, 8), cantor_cloud(0.5, 3)),
+    lambda: (hsquare_cloud(2), segment_cloud("t", 0.0, 1.0, 8)),
+    lambda: (cantor_cloud(0.5, 3), hsquare_cloud(2)),
+], ids=["xseg-x-cantor", "hsquare-x-tseg", "swapped"])
+def test_product_is_only_hsquare_times_cantor(factors):
+    # the product is always labelled fs, so any other pair would pass as fs
+    with pytest.raises(ValueError, match="hsquare and a cantor"):
+        product_cloud(*factors())
 
 
 def test_expected_dims_table():

@@ -324,7 +324,9 @@ def test_fit_metric_comparison_bounded():
     assert again == rep
 
 
-@pytest.mark.parametrize("R", [0.0, math.inf, math.nan])
+# past 2^20 the twist no longer resolves pairs a unit apart; at 1e100 the
+# quartic horizontal term overflowed to inf
+@pytest.mark.parametrize("R", [0.0, math.inf, math.nan, 2.0**20 + 1.0, 1e100])
 def test_fit_metric_comparison_needs_finite_positive_R(R):
     with pytest.raises(ValueError, match="finite and positive"):
         fit_metric_comparison(R=R, samples=10, seed=0)

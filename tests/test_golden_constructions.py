@@ -14,6 +14,11 @@ The `dimension`, `compare` and `sandwich` digests were recorded once, from the
 CLI that read estimates with `float` and `int` and keyed each sampler's
 generator on its own, before every number read from a file went through one
 rule and the samplers shared one generator helper.
+
+The `construct` digests (CSV, sidecar and `--svg` plot of every set) were
+recorded once, from the CLI that named each set in a table of options, an `if`
+chain of builders and a tuple of plot axes, before one table of sets held all
+three.
 """
 
 import hashlib
@@ -96,6 +101,61 @@ def test_density_json_is_byte_identical(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# each set at a small size: the options given, then the sha256 of its CSV, its
+# sidecar and its --svg plot, and the line construct prints
+CONSTRUCT_GOLDEN = {
+    "ex1": (("--set", "ex1"),
+            "852672e08d50798d9a9398e268e240a0d99c9515d4ed36df3f5f2521f75c6593",
+            "d8b783a403df6a9118d4ef9ae17df75fd5fee9e36d6bc9ca62ff3810538b80c8",
+            "9efe20aad57a8e92b1f66e54db5449c1d995a85c265a09866df7e71b8699ed97",
+            "wrote 256 points, total mass 1.0"),
+    "ex2": (("--set", "ex2", "--M", "2", "--level", "9", "--samples-per-rect", "2"),
+            "0edfc3547a824716d995a6aa657c127e3a8407ff82c79652797bc5b8bb22db0c",
+            "e11d121a27fd42e1b42637c0e871d453fafece948157bcfa67d8bf4ce59006b3",
+            "58439350f8c05388f4dbc1414c300dc2849234a6f0bce2f220ad41494d8b5df5",
+            "wrote 1024 points, total mass 1.0"),
+    "hsquare": (("--set", "hsquare", "--depth", "3"),
+                "875eb7306de1d84498d327fe0a016fc35bcb9056e0f9f7927b70e54a93a7cc4c",
+                "73c5476b55d100bcc3bdfcb7ce784eb413116602b35acff33c395ba349c77505",
+                "9880bcfb8acbaff44723142cc75d07b85a33df6624c0ddb5b44a3564b13a3806",
+                "wrote 64 points, total mass 1.0"),
+    "cantor": (("--set", "cantor"),
+               "280f4dd0dd3e698d17ee7001d6b3a7231d09978ca11ed96962807c055e577006",
+               "2988f73eb92aac628fab4d939ab343a2a42c94724fae44fe25b0fe9a6e4bf48e",
+               "508a797058258ff4976b8506078dd096de2097f2da313cb8256d4b761b68c630",
+               "wrote 64 points, total mass 1.0"),
+    "fs": (("--set", "fs", "--d", "0.3", "--depth", "2", "--cantor-depth", "3"),
+           "f57529c2cf0345f723689c5f927d528339c292ff50b8f2b0e3beb971b447d126",
+           "8b4efbe04466d4e99eaff9388f28d3d2bf110bade7c75d12a8e8157b79de5a5a",
+           "8f847ec744d61911eebc0c2d4c5f3f1896c693ce48fe5b1cb86d72448f1ae6cf",
+           "wrote 128 points, total mass 1.0"),
+    "xseg": (("--set", "xseg", "--points", "100"),
+             "087086c001f1929bfa48cb5e9203e9a595df85341e82929679993ae1abf176a5",
+             "424901bf38384b83315963dfdd5d519be803e6148883f10d5e212d9cfb5f5497",
+             "a8704d48510c052064dd9e14f31187f36daeaa4e9590ca40c628e072012cdbfe",
+             "wrote 100 points, total mass 1.0"),
+    "tseg": (("--set", "tseg", "--points", "100"),
+             "c87aa7c6eefcde4fb71816744b3fb1d0b9660be060c0d1a395250cca3594a089",
+             "16bfffabcb9ed0cda50823b289616d89251fdf029bdd9320bbac8a3be415588a",
+             "d509bdb38855ac83a294229426fb84e332e13624398f924bfe4ab3973e994b5a",
+             "wrote 100 points, total mass 2.0"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCT_GOLDEN))
+def test_construct_output_is_byte_identical(tmp_path, capsys, name):
+    argv, csv_sha, sidecar_sha, svg_sha, line = CONSTRUCT_GOLDEN[name]
+    csv, svg = tmp_path / "c.csv", tmp_path / "c.svg"
+    assert main(["construct", *argv, "--out", str(csv), "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == line + "\n"
+    shas = [_sha(p) for p in (csv, tmp_path / "c.meta.json", svg)]
+    assert shas == [csv_sha, sidecar_sha, svg_sha]
+
+
 # the README's cantor example: E and H dimension at its scales, then compare
 README_CANTOR_GOLDEN = {
     "dE.json": (("--metric", "euclidean", "--delta-min", "0.0009765625", "--delta-max", "0.25"),
@@ -105,10 +165,6 @@ README_CANTOR_GOLDEN = {
 }
 COMPARE_SHA = "9463ba917b45c8370ba02cafeeb5202e2aa3a2b86f81fe57a3a194d78847fa27"
 SANDWICH_SHA = "9a3356fa11c564f9e523121332b70cdb70ba5b4da15f92846b761387e5a8e420"
-
-
-def _sha(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_readme_cantor_dimension_and_compare_json_is_byte_identical(tmp_path):

@@ -302,7 +302,10 @@ def test_scan_density_rejects_bad_radii(radii):
 @pytest.mark.parametrize("convention, r, s", [
     ("(2r)^s", 0.1, math.nan), ("(2r)^s", 0.1, math.inf), ("(2r)^s", 0.1, 1000.0),
     ("r^s", 10.0, 1000.0), ("r^s", 0.5, -math.inf),
-], ids=["nan", "inf", "underflow", "overflow", "inf-denominator"])
+    # 1.0 ** s is 1 for every non-finite s, so only the check on s refuses these
+    ("r^s", 1.0, math.nan), ("r^s", 1.0, math.inf), ("r^s", 1.0, -math.inf),
+], ids=["nan", "inf", "underflow", "overflow", "inf-denominator", "nan-at-1", "inf-at-1",
+        "minus-inf-at-1"])
 def test_scan_density_rejects_bad_denominator(convention, r, s):
     # checked for every radius before the first base point, so an empty panel
     # is not reached; NaN ratios or a ZeroDivisionError came out before
@@ -506,6 +509,19 @@ def test_sandwich_corrected_outer_radius_clean():
     P, Q, radius = np.array(P), np.array(Q), np.array(radius)
     member = dist_pairs(Q, P, H) <= radius
     assert (dist_pairs(Q, P, E)[member] <= 3 * (1 + R) * radius[member]).all()
+
+
+def test_sandwich_R_bound_follows_the_smallest_r():
+    # R may reach 2^20 r for the smallest r, where the twist still resolves r^2
+    assert sandwich_sample(2.0**20 * 0.25, (1.0, 0.25), 10, 0).outer_hits > 0
+    with pytest.raises(ValueError, match="at most 2\\^20"):
+        sandwich_sample(2.0**20 * 0.25 * (1 + 2**-52), (1.0, 0.25), 10, 0)
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0])
+def test_linear_rule_needs_a_finite_positive_delta(delta):
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        thm2_scan(segment_cloud("t", -1.0, 1.0, 16), [O], delta, [0.5], s=1.0)
 
 
 def test_sandwich_validations():
