@@ -68,7 +68,7 @@ def _ex2_cloud(o):
 _SETS = {
     "ex1": ({"level": 3, "samples_per_rect": 1},
             lambda o: example_cloud(Example1(), o.level, o.samples_per_rect)),
-    "ex2": ({"M": 2.0, "level": 3, "samples_per_rect": 1}, _ex2_cloud),
+    "ex2": ({"M": 2.0, "level": 9, "samples_per_rect": 1}, _ex2_cloud),
     "hsquare": ({"depth": 6}, lambda o: hsquare_cloud(o.depth)),
     "cantor": ({"d": 0.5, "depth": 6}, lambda o: cantor_cloud(o.d, o.depth)),
     "fs": ({"d": 0.5, "depth": 6, "cantor_depth": 6},

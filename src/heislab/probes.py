@@ -9,6 +9,7 @@ silently mixing them shifts results by powers of two.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -25,7 +26,7 @@ from .constructions import (
     level_sides,
     product_cloud,
 )
-from .dimension import check_R, check_samples, delta_ladder, seeded_generator
+from .dimension import _EPS, check_R, check_samples, delta_ladder, seeded_generator
 from .hgeom import (
     MetricKind,
     Point,
@@ -35,6 +36,23 @@ from .hgeom import (
     row_dist,
     row_twist,
 )
+
+# rows per block of a density scan: a block's distances, masks and row indices
+# stay in cache while its radius loop runs
+_BLOCK = 2**15
+
+
+def _find_malloc_trim():
+    """glibc's malloc_trim, or a no-op where there is no glibc."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_malloc_trim = _find_malloc_trim()
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +155,10 @@ class ProbeResult:
     extra: dict = field(default_factory=dict)
 
 
-def _split(weights: np.ndarray, ball: np.ndarray, near: np.ndarray) -> tuple[float, float]:
-    """Weight in the ball, split into (near the plane, clear of it)."""
-    return float(weights[ball & near].sum()), float(weights[ball & ~near].sum())
+def _mass(weights: np.ndarray, parts: list[np.ndarray]) -> float:
+    """Weight of the cloud rows indexed by `parts`, gathered in order and summed as
+    one array; an empty selection weighs 0.0."""
+    return float(weights[np.concatenate(parts)].sum()) if parts else 0.0
 
 
 def _denominator(kind: str, r: float, s: float) -> float:
@@ -166,52 +185,102 @@ def _checked_radii(radii) -> list[float]:
     return radii
 
 
+def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[float],
+                 rhos: list[float], e_ball: float, e_plane: float) -> list[tuple]:
+    """Per radius, the rows of the ball near the plane through p, of the ball
+    clear of it, and of the sphere and slab error bands (empty when both errors
+    are 0): four lists of int32 cloud row indices, one array per block read,
+    in cloud order. Reads the blocks of _BLOCK rows that begin at `starts`."""
+    banded = e_ball > 0.0 or e_plane > 0.0
+    picks = [([], [], [], []) for _ in radii]
+    for start in starts:
+        rows = points[start:start + _BLOCK]
+        dE = dist_many(rows, p, MetricKind.EUCLIDEAN)
+        pd = plane_dist_many(rows, p)
+        idx = np.arange(start, start + len(rows), dtype=np.int32)
+        for r, rho, (near, clear, sphere, slab) in zip(radii, rhos, picks):
+            # both halves: the two float expressions disagree at the edge
+            keep = (dE - r <= e_ball) | (dE <= r + e_ball)
+            dE, pd, idx = dE[keep], pd[keep], idx[keep]
+            if not idx.size:
+                break
+            ball, close = dE <= r, pd <= rho
+            near.append(idx[ball & close])
+            clear.append(idx[ball & ~close])
+            if banded:
+                # sphere-boundary points already clear of the slab, and
+                # slab-boundary points already inside the ball
+                sphere.append(idx[(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane)])
+                slab.append(idx[(np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)])
+    return picks
+
+
 def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
                  s: float, convention: str, probe: str,
                  extra: dict | None = None) -> ProbeResult:
     """Evaluate the density ratio on a grid of radii at each base point.
 
-    The radii are visited in descending order, and each base point keeps a
-    working set of rows that shrinks to the ball as r descends: before radius
-    r it drops every row with both fl(dE - r) > e_ball and dE > fl(r + e_ball).
-    Those are the rows no mask at r can select (the ball dE <= r and the two
-    band terms), and by monotone rounding no mask at a smaller radius either,
-    so the working sets are nested and never lose a row a later radius needs.
-    Kept rows stay in cloud order, so every sum adds the same numbers in the
-    same order as on the whole cloud and the results are bit-identical; the
-    mask passes cost about the ball's share of the cloud, not all of it.
+    Each base point reads the cloud in blocks of _BLOCK rows, in cloud order,
+    and runs the whole radius loop on one block before the next, so a block's
+    distances and masks stay in cache. A block whose bounding box lies farther
+    than the largest radius (plus the placement error and a rounding pad) from
+    the base point is skipped unread.
+
+    Within a block the radii are visited in descending order, and the block
+    keeps a working set of rows that shrinks to the ball as r descends: before
+    radius r it drops every row with both fl(dE - r) > e_ball and
+    dE > fl(r + e_ball). Those are the rows no mask at r can select (the ball
+    dE <= r and the two band terms), and by monotone rounding no mask at a
+    smaller radius either, so the working sets are nested and never lose a row
+    a later radius needs; an empty working set ends the block.
+
+    Each mask records the cloud rows it selects. The distance kernels are
+    elementwise, so a block's values are bit-for-bit those of a whole-cloud
+    pass; and the rows of each sum, gathered block after block, are the
+    weights that a mask on the whole cloud selects, in the same cloud order.
+    So every sum adds the same numbers in the same order as on the whole
+    cloud, and the results are bit-identical.
     """
     radii = _checked_radii(radii)
     denoms = [_denominator(convention, r, s) for r in radii]
+    rhos = [rho_rule.rho(r) for r in radii]
     if not base_points:
         raise ValueError("the density scan needs at least one base point")
     e_ball = cloud.placement_error
+    points, weights = cloud.points, cloud.weights
+    starts = np.arange(0, len(cloud), _BLOCK)
+    box_lo, box_hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
+    # A block's box distance takes dist_many's float steps on gaps no larger than
+    # any row's, so it never exceeds a row's dE. Every row a mask selects has
+    # dE <= fl(r_max + e_ball) or fl(dE - r_max) <= e_ball; the relative pad covers
+    # the rounding of the latter, and the absolute one, as in greedy_net's reach,
+    # a gap rounded at the scale of the coordinates.
+    bound = max(np.abs(box_lo).max(initial=0.0), np.abs(box_hi).max(initial=0.0))
+    reach = (radii[0] + e_ball) * (1.0 + 1e-9) + 8.0 * _EPS * bound
     point_series: list[PointSeries] = []
     err = 0.0
     for p in base_points:
-        dE = dist_many(cloud.points, p, MetricKind.EUCLIDEAN)
-        pd = plane_dist_many(cloud.points, p)
-        w = cloud.weights
+        q = p.as_array()
+        gap = np.maximum(np.maximum(box_lo - q, q - box_hi), 0.0)
+        box = row_dist(gap, np.zeros(3), MetricKind.EUCLIDEAN)
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
         e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y)
+        picks = _block_picks(points, starts[box <= reach], p, radii, rhos, e_ball, e_plane)
         series = []
-        for r, denom in zip(radii, denoms):
-            # both halves: the two float expressions disagree at the edge
-            keep = (dE - r <= e_ball) | (dE <= r + e_ball)
-            dE, pd, w = dE[keep], pd[keep], w[keep]
-            rho = rho_rule.rho(r)
-            inside, outside = _split(w, dE <= r, pd <= rho)
-            ratio = outside / denom
-            series.append(SeriesEntry(r=r, inside=inside, outside=outside, ratio=ratio))
-            if e_ball > 0.0 or e_plane > 0.0:
-                # mass whose classification flip could change the outside term:
-                # sphere-boundary points already clear of the slab, and
-                # slab-boundary points already inside the ball
-                band = float(w[(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane)].sum())
-                band += float(w[(np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)].sum())
-                err = max(err, band / denom)
+        for r, denom, (near, clear, sphere, slab) in zip(radii, denoms, picks):
+            outside = _mass(weights, clear)
+            series.append(SeriesEntry(r=r, inside=_mass(weights, near), outside=outside,
+                                      ratio=outside / denom))
+            # mass whose classification flip could change the outside term
+            band = _mass(weights, sphere)
+            band += _mass(weights, slab)
+            err = max(err, band / denom)
         point_series.append(PointSeries(p=p, series=series))
+    # the blocks' masks and row indices, freed by now, were many small arrays
+    # spread over the heap; hand its free pages back
+    del picks, near, clear, sphere, slab
+    _malloc_trim(0)
     # min and max return the first extreme entry in scan order
     entries = [e for ps in point_series for e in ps.series]
     lo = min(entries, key=lambda e: e.ratio)

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from heislab.constructions import WeightedCloud
 from heislab.hgeom import MetricKind, Point, dist_many, normal_scale, plane_dist_many
-from heislab.probes import _split
 
 ORIGIN = Point(0.0, 0.0, 0.0)
 
@@ -56,6 +57,11 @@ def in_neighborhood(q: Point, base: Point, rho: float) -> bool:
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"neighborhood radius must be >= 0, got {rho}")
     return dist_to_plane(q, base) <= rho
+
+
+def _split(weights: np.ndarray, ball: np.ndarray, near: np.ndarray) -> tuple[float, float]:
+    """Weight in the ball, split into (near the plane, clear of it)."""
+    return float(weights[ball & near].sum()), float(weights[ball & ~near].sum())
 
 
 def mass_split(cloud: WeightedCloud, p: Point, r: float, rho: float) -> tuple[float, float]:

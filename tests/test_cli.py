@@ -46,6 +46,20 @@ def test_construct_ex2_off_dyadic_M(tmp_path):
                    "--out", tmp_path / "x.csv") == 0
 
 
+def test_construct_ex2_defaults_build_a_probeable_cloud(tmp_path):
+    # the default level is the first with a probing window at the default M = 2
+    bare, spelled = tmp_path / "bare", tmp_path / "spelled"
+    bare.mkdir()
+    spelled.mkdir()
+    assert run("construct", "--set", "ex2", "--out", bare / "ex2.csv", "--svg", bare / "ex2.svg") == 0
+    assert run("construct", "--set", "ex2", "--M", "2", "--level", "9", "--samples-per-rect", "1",
+               "--out", spelled / "ex2.csv", "--svg", spelled / "ex2.svg") == 0
+    names = sorted(p.name for p in bare.iterdir())
+    assert names == sorted(p.name for p in spelled.iterdir()) and len(names) == 3
+    for name in names:
+        assert (bare / name).read_bytes() == (spelled / name).read_bytes()
+
+
 def test_construct_ex2_rejects_shallow_level(tmp_path, capsys):
     code = run("construct", "--set", "ex2", "--level", "1", "--M", "2",
                "--out", tmp_path / "x.csv")

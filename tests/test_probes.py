@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from heislab import probes
 from heislab.constructions import (
     Example1,
     Example2,
@@ -35,7 +36,6 @@ from heislab.probes import (
     Quadratic,
     SeriesEntry,
     _denominator,
-    _split,
     estimate_annulus_constants,
     ex1_probe,
     ex2_default_radii,
@@ -52,7 +52,7 @@ from heislab.probes import (
     thm1_scan,
     thm2_scan,
 )
-from oracle import density_ratio, dist, dist_to_plane, group_mul, mass_split
+from oracle import _split, density_ratio, dist, dist_to_plane, group_mul, mass_split
 
 E = MetricKind.EUCLIDEAN
 H = MetricKind.HEISENBERG
@@ -399,13 +399,16 @@ def oracle_clouds(tmp_path_factory):
     return {"ex1": ex1, "fs": fs, "bare": bare}
 
 
-@pytest.mark.parametrize("name", ["ex1", "fs", "bare"])
-@pytest.mark.parametrize("rule, s, convention", [
+SCAN_RULES = pytest.mark.parametrize("rule, s, convention", [
     (PowerLaw(0.5), 1.0, "r^s"),
     (Linear(0.25), 1.5, "(2r)^s"),
     (Quadratic(2.0), 1.0, "2r"),
     (Fixed(0.125), 2.5, "r^s"),
 ], ids=["power_law", "linear", "quadratic", "fixed"])
+
+
+@pytest.mark.parametrize("name", ["ex1", "fs", "bare"])
+@SCAN_RULES
 def test_pruned_scan_matches_unpruned_reference(oracle_clouds, name, rule, s, convention):
     cloud = oracle_clouds[name]
     bases = panel_from_cloud(cloud, 5)
@@ -437,6 +440,76 @@ def test_pruned_scan_rounding_edges():
     # (rho = 2 r_b, e_plane = e)
     for radii in ([r_a], [r_b], [r_b, r_a]):
         _assert_scan_matches_ref(cloud, [O], radii, Fixed(2.0), 1.0, "2r", "edge")
+
+
+# the test clouds fit in one block of the real size; these split them into many
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("name", ["ex1", "fs", "bare"])
+@SCAN_RULES
+def test_block_scan_matches_unpruned_reference(monkeypatch, oracle_clouds, block, name, rule,
+                                               s, convention):
+    monkeypatch.setattr(probes, "_BLOCK", block)
+    test_pruned_scan_matches_unpruned_reference(oracle_clouds, name, rule, s, convention)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_scan_rounding_edges(monkeypatch, block):
+    monkeypatch.setattr(probes, "_BLOCK", block)
+    test_pruned_scan_rounding_edges()
+
+
+def _line_cloud(x, e=0.0):
+    """Equal weights summing to 1 on points of the x-axis, vertical placement error e."""
+    points = np.column_stack([x, np.zeros_like(x), np.zeros_like(x)])
+    return WeightedCloud(points, np.full(len(x), 1.0 / len(x)), 1.0, {"kind": "line"}, err_t=e)
+
+
+def test_block_cull_keeps_a_row_at_the_reach(monkeypatch):
+    # block 0 is one row at dE = fl(r + e) on the plane, where the slab band of
+    # rho = 0 counts it, and three rows far away; block 1 is all far away
+    monkeypatch.setattr(probes, "_BLOCK", 4)
+    r, e = 0.3, 0.1
+    cloud = _line_cloud(np.array([r + e, 10.0, 11.0, 12.0, 20.0, 21.0, 22.0, 23.0]), e)
+    assert cloud.placement_error == e and dist_many(cloud.points[:1], O, E)[0] == r + e
+    got = _assert_scan_matches_ref(cloud, [O], [r, 0.5 * r], Fixed(0.0), 1.0, "2r", "cull")
+    assert got["error_bound"] == 0.125 / (2.0 * r)
+
+
+def test_block_cull_far_base_point(monkeypatch):
+    monkeypatch.setattr(probes, "_BLOCK", 7)
+    cloud = _line_cloud(np.linspace(0.0, 1.0, 50), 0.01)
+    got = _assert_scan_matches_ref(cloud, [Point(100.0, 0.0, 0.0)], [2.0, 0.5], Linear(0.25),
+                                   1.0, "(2r)^s", "far")
+    assert got["error_bound"] == 0.0
+    assert all(e["inside"] == e["outside"] == e["ratio"] == 0.0
+               for ps in got["points"] for e in ps["series"])
+
+
+def test_block_scan_with_a_short_last_block(monkeypatch, tseg):
+    monkeypatch.setattr(probes, "_BLOCK", 64)
+    assert len(tseg) % 64 == 32
+    # distinct weights, so that a row index off by a block reads another weight
+    weights = np.linspace(1.0, 3.0, len(tseg)) ** 2
+    cloud = WeightedCloud(tseg.points, weights, float(weights.sum()), tseg.source,
+                          tseg.err_xy, tseg.err_t)
+    bases = [O, Point(0.0, 0.0, 1.0), Point(0.01, 0.0, -0.5)]
+    for rule, s, convention in ((Linear(0.25), 1.0, "(2r)^s"), (Fixed(0.125), 1.0, "r^s")):
+        got = _assert_scan_matches_ref(cloud, bases, [1.5, 0.2, 0.01], rule, s, convention, "short")
+        # at r = 0.01 the second base point's ball lies in the short last block,
+        # which holds t in (0.984, 1]
+        assert got["points"][1]["series"][-1]["outside"] > 0
+
+
+@pytest.mark.parametrize("libc", [None, object()], ids=["no-dlopen", "no-malloc-trim"])
+def test_heap_trim_is_a_no_op_without_glibc(monkeypatch, libc):
+    def cdll(name):
+        if libc is None:
+            raise OSError("cannot open the program's own symbols")
+        return libc
+    monkeypatch.setattr(probes.ctypes, "CDLL", cdll)
+    assert probes._find_malloc_trim()(0) == 0
+
 
 def test_rho_rules():
     assert PowerLaw(0.5).rho(0.04) == 0.04**1.5
