@@ -157,8 +157,9 @@ class ProbeResult:
 
 def _mass(weights: np.ndarray, parts: list[np.ndarray]) -> float:
     """Weight of the cloud rows indexed by `parts`, gathered in order and summed as
-    one array; an empty selection weighs 0.0."""
-    return float(weights[np.concatenate(parts)].sum()) if parts else 0.0
+    one array; an empty selection weighs 0.0. The indices are joined as intp,
+    which numpy gathers with directly, where int32 ones it would first cast."""
+    return float(weights[np.concatenate(parts, dtype=np.intp)].sum()) if parts else 0.0
 
 
 def _denominator(kind: str, r: float, s: float) -> float:
@@ -194,16 +195,19 @@ def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[f
     banded = e_ball > 0.0 or e_plane > 0.0
     picks = [([], [], [], []) for _ in radii]
     for start in starts:
-        rows = points[start:start + _BLOCK]
+        # a column-major copy, so that the kernels' elementwise passes run on
+        # unit-stride columns
+        rows = np.asfortranarray(points[start:start + _BLOCK])
         dE = dist_many(rows, p, MetricKind.EUCLIDEAN)
         pd = plane_dist_many(rows, p)
         idx = np.arange(start, start + len(rows), dtype=np.int32)
         for r, rho, (near, clear, sphere, slab) in zip(radii, rhos, picks):
             # both halves: the two float expressions disagree at the edge
             keep = (dE - r <= e_ball) | (dE <= r + e_ball)
-            dE, pd, idx = dE[keep], pd[keep], idx[keep]
-            if not idx.size:
-                break
+            if not keep.all():
+                dE, pd, idx = dE[keep], pd[keep], idx[keep]
+                if not idx.size:
+                    break
             ball, close = dE <= r, pd <= rho
             near.append(idx[ball & close])
             clear.append(idx[ball & ~close])
