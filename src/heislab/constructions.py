@@ -416,19 +416,23 @@ def write_json(obj, path) -> None:
 def save_cloud(cloud: WeightedCloud, path) -> None:
     """Write the cloud as CSV rows x,y,t,weight (CRLF line ends, repr fields, so
     load_cloud gives back every bit) plus the JSON sidecar."""
-    data = np.column_stack((cloud.points, cloud.weights))
-    # one repr per distinct bit pattern (a prefractal repeats its coordinates;
-    # keyed on bits, not values, so -0.0 keeps its own text apart from 0.0)
-    bits, inv = np.unique(data.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    fields = text[inv.reshape(data.shape)]  # numpy versions differ in the inverse's shape
+    # one repr per distinct bit pattern of each column (a prefractal repeats its
+    # coordinates; keyed on bits, not values, so -0.0 keeps its own text apart from 0.0)
+    columns = []
+    for col in (*cloud.points.T, cloud.weights):
+        bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+        columns.append((np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object),
+                        inv))
 
     def chunks():
         yield "x,y,t,weight\r\n"
         # joined in row blocks: the whole file as one string costs its size again
-        for start in range(0, len(fields), SAVE_BLOCK_ROWS):
-            block = fields[start:start + SAVE_BLOCK_ROWS]
-            yield ("%s,%s,%s,%s\r\n" * len(block)) % tuple(block.ravel().tolist())
+        block = np.empty((SAVE_BLOCK_ROWS, 4), dtype=object)
+        for start in range(0, len(cloud), SAVE_BLOCK_ROWS):
+            rows = block[:min(SAVE_BLOCK_ROWS, len(cloud) - start)]
+            for j, (text, inv) in enumerate(columns):
+                rows[:, j] = text[inv[start:start + SAVE_BLOCK_ROWS]]
+            yield ("%s,%s,%s,%s\r\n" * len(rows)) % tuple(rows.ravel().tolist())
 
     write_text(chunks(), path)
     meta = {"source": cloud.source, "total_mass": cloud.total_mass,

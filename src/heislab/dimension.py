@@ -20,6 +20,7 @@ from .constructions import MAX_POINTS, ResourceLimitError, WeightedCloud, json_n
 from .hgeom import MetricKind, beta_minus, beta_plus, dist_pairs, row_dist
 
 _CHUNK = 4096  # covered flags read per step while the cursor seeks the next center
+_MEASURE = 2**15  # candidate rows per distance call: a coarse net's first window is the cloud
 _EPS = float(np.finfo(float).eps)
 # one greedy-net sweep at a time: a sweep is tens of thousands of short numpy calls that
 # hold the GIL, so two of them thrash it, while a lattice build (long sorts that release
@@ -82,20 +83,32 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
     w = delta / 2.0 if gauge else delta
     x, y, t = points.T
     # per axis: slabs floor(coord / w), ranked so that indices stay small, and the first and
-    # last slab within delta of each, from the points' extents so that rounding hides none
+    # last slab within delta of each, from the points' extents so that rounding hides none;
+    # n-length temporaries are built in place and dropped after their last use
     axes, bound = [], 0.0
     for coord in (x, y):
         srt = np.sort(coord)
         if max(-srt[0], srt[-1]) / w > 2.0**52:
             raise ResourceLimitError(f"lattice column index beyond 2**52 at delta={delta}")
-        new = np.flatnonzero(np.diff(np.floor(srt / w)))
+        f = srt / w
+        np.floor(f, out=f)
+        new = np.flatnonzero(f[1:] != f[:-1])
+        del f
         lo, hi = srt[np.r_[0, new + 1]], srt[np.r_[new, n - 1]]
         bound = max(bound, -srt[0], srt[-1])
+        del srt
         reach = delta * (1.0 + 1e-9) + 8.0 * _EPS * bound
-        axes.append((lo.searchsorted(coord, "right") - 1, lo,
-                     hi.searchsorted(lo - reach), lo.searchsorted(hi + reach, "right") - 1))
-    (rx, X, xfirst, xlast), (ry, Y, yfirst, ylast) = axes
-    codes, col = np.unique(rx * Y.size + ry, return_inverse=True)
+        r = lo.searchsorted(coord, "right")
+        r -= 1
+        axes.append((r, lo, hi.searchsorted(lo - reach), lo.searchsorted(hi + reach, "right") - 1))
+    (code, X, xfirst, xlast), (ry, Y, yfirst, ylast) = axes
+    del axes, r
+    code *= Y.size
+    code += ry
+    del ry
+    codes = np.unique(code)
+    col = codes.searchsorted(code)  # the dense rank of each point's column
+    del code
     # neighbour table in CSR form: the columns within reach of each column
     cx, cy = np.divmod(codes, Y.size)
     ix = xfirst[cx, None] + np.arange((xlast - xfirst).max() + 1)
@@ -105,17 +118,30 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
     pos = codes.searchsorted(want).clip(max=codes.size - 1)
     hit = codes[pos] == want
     nbrs, ptr = pos[hit], np.r_[0, hit.sum(1).cumsum()]
-    s, half, slack = ((t - 2.0 * (X[rx] * y - x * Y[ry]), delta * delta, 4.0 * (delta + w) * w)
-                      if gauge else (t, delta, 0.0))
+    del want, pos, hit
+    X, Y = X[cx], Y[cy]  # each column's corner
+    if gauge:  # s = t - 2(X y - x Y), in that order
+        s = X[col]
+        s *= y
+        xY = Y[col]
+        xY *= x
+        s -= xY
+        del xY
+        s *= 2.0
+        np.subtract(t, s, out=s)
+        half, slack = delta * delta, 4.0 * (delta + w) * w
+    else:
+        s, half, slack = t, delta, 0.0
     # s, window centers and distances round by a few ulps of this scale
     scale = max(-t.min(), t.max()) + (4.0 * bound * (bound + w) if gauge else 0.0)
     half += 1e-9 * (half + slack) + 64.0 * _EPS * scale
     smin, span = s.min(), s.max() - s.min()
     base = np.arange(codes.size) * (2.0 * span if span > 0.0 else 1.0)
-    key = base[col] + (s - smin)
-    del axes, rx, ry, s, srt, want, pos, hit
+    key = np.subtract(s, smin, out=s if gauge else None)  # s's own buffer, never t's
+    del s
+    key += base[col]
     order = key.argsort()
-    key, X, Y = key[order], X[cx], Y[cy]
+    key.sort()
     covered, centers, c = np.zeros(n, dtype=bool), [], 0
     with _SWEEP:
         while c < n:
@@ -140,8 +166,10 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
             first = key.searchsorted(b + lo).tolist()
             last = key.searchsorted(b + hi, "right").tolist()
             idx = np.concatenate([order[a:e] for a, e in zip(first, last)])
-            idx = idx[~covered[idx]]  # covered rows stay covered: measure only the rest
-            covered[idx[row_dist(points.take(idx, axis=0), q, metric) <= delta]] = True
+            for start in range(0, idx.size, _MEASURE):
+                part = idx[start:start + _MEASURE]
+                part = part[~covered[part]]  # covered rows stay covered: measure only the rest
+                covered[part[row_dist(points.take(part, axis=0), q, metric) <= delta]] = True
             covered[c] = True  # the sweep advances even if rounding ever left c out of its window
     return NetCount(delta=delta, count=len(centers)), np.asarray(centers, dtype=np.int64)
 

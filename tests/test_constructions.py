@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +468,19 @@ def test_save_cloud_repeated_values_keep_their_bits(tmp_path):
     again = load_cloud(path)
     assert np.array_equal(again.points.view(np.int64), cloud.points.view(np.int64))
     assert np.array_equal(again.weights.view(np.int64), cloud.weights.view(np.int64))
+
+
+def test_save_cloud_memory_per_row(tmp_path):
+    # each column is deduped on its own, so no cloud-sized inverse or field array exists
+    cloud = product_cloud(hsquare_cloud(6), cantor_cloud(0.5, 5))
+    assert len(cloud) == 131072
+    tracemalloc.start()
+    try:
+        save_cloud(cloud, tmp_path / "c.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * len(cloud), peak / len(cloud)
 
 
 def test_write_text_failure_removes_temp_and_keeps_target(tmp_path):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -227,6 +228,22 @@ def test_lattice_net_rounding_edges():
                                 [0, 0, -1e6]])
     assert _brute_net(cloud.points, 1e-7, E).size == 2
     assert greedy_net(cloud, 1e-7, E)[0].count == 2
+
+
+@pytest.mark.parametrize("metric, delta", [(E, 0.3), (E, 0.05), (H, 0.8), (H, 0.2)])
+def test_greedy_net_memory_per_row(metric, delta):
+    # the lattice keeps a few n-length arrays, and a coarse net's first window (nearly
+    # the whole cloud) is measured in slices; the finest deltas are left out because
+    # tracemalloc slows their many small allocations
+    cloud = product_cloud(hsquare_cloud(6), cantor_cloud(0.5, 5))
+    assert len(cloud) == 131072
+    tracemalloc.start()
+    try:
+        greedy_net(cloud, delta, metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * len(cloud), peak / len(cloud)
 
 
 def test_greedy_net_rejects_bad_coordinates():
