@@ -182,8 +182,13 @@ def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind) -> list[NetCoun
         raise ValueError("deltas must be strictly positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
+    from .probes import _malloc_trim  # probes imports this module
+
     with ThreadPoolExecutor(max_workers=max(1, min(worker_count(), len(deltas)))) as pool:
-        return list(pool.map(lambda d: greedy_net(cloud, d, metric)[0], deltas))
+        counts = list(pool.map(lambda d: greedy_net(cloud, d, metric)[0], deltas))
+    # each worker's heap keeps its lattices' freed pages: hand them back once per ladder
+    _malloc_trim(0)
+    return counts
 
 
 def estimate_dimension(counts: list[NetCount],

@@ -157,6 +157,17 @@ def test_net_counts_do_not_depend_on_the_worker_count(monkeypatch):
             assert counts["1"] == counts["2"], (cloud.source, metric)
 
 
+def test_net_counts_trims_the_heap_once_per_ladder(monkeypatch):
+    from heislab import probes
+
+    calls = []
+    monkeypatch.setattr(probes, "_malloc_trim", lambda pad: calls.append(pad) or 0)
+    cloud, deltas = _ladder_clouds()[0]
+    counts = net_counts(cloud, deltas, H)
+    assert calls == [0]
+    assert counts == [greedy_net(cloud, d, H)[0] for d in deltas]
+
+
 def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     # os.cpu_count counts the machine's CPUs, not the ones the affinity mask allows
     monkeypatch.delenv("HEISLAB_THREADS", raising=False)
