@@ -7,7 +7,14 @@ import argparse
 
 import numpy as np
 
-from heislab.constructions import Example1, build_family, example_cloud, level_sides, segment_cloud
+from heislab.constructions import (
+    Example1,
+    Example2,
+    build_family,
+    example_cloud,
+    level_sides,
+    segment_cloud,
+)
 from heislab.hgeom import Point
 from heislab.probes import ex1_probe, ex2_probe, panel_from_rects, thm1_scan, thm2_scan
 
@@ -35,7 +42,8 @@ def main():
     print(f"ex1 shrinking rho=r^1.5:   min ratio <= 0.05 at {frac:.0%} of points "
           f"(liminf contrast)")
 
-    res = ex2_probe(args.M, 10, base_count=12)
+    # level 10, or the first level with a probing window when M puts it higher
+    res = ex2_probe(args.M, max(10, Example2(args.M).switch_level() + 2), base_count=12)
     print(f"ex2 quadratic rho=Mr^2:    min ratio {res.summary['min_ratio']:.4f} "
           f"(target >= 1/16) over windows k={res.extra['window_levels']}")
 

@@ -8,6 +8,7 @@ the t-axis, because left translation shears the vertical coordinate.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -27,6 +28,19 @@ _EPS = float(np.finfo(float).eps)
 # the GIL) overlaps the other worker's sweep; whole sweeps are ordered, so no net changes
 _SWEEP = threading.Lock()
 MIN_SCALES = 3  # a log-log fit needs this many net counts
+
+
+def _find_malloc_trim():
+    """glibc's malloc_trim, or a no-op where there is no glibc."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_malloc_trim = _find_malloc_trim()
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,8 +196,6 @@ def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind) -> list[NetCoun
         raise ValueError("deltas must be strictly positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
-    from .probes import _malloc_trim  # probes imports this module
-
     with ThreadPoolExecutor(max_workers=max(1, min(worker_count(), len(deltas)))) as pool:
         counts = list(pool.map(lambda d: greedy_net(cloud, d, metric)[0], deltas))
     # each worker's heap keeps its lattices' freed pages: hand them back once per ladder

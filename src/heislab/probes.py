@@ -9,7 +9,6 @@ silently mixing them shifts results by powers of two.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -26,7 +25,7 @@ from .constructions import (
     level_sides,
     product_cloud,
 )
-from .dimension import _EPS, check_R, check_samples, delta_ladder, seeded_generator
+from .dimension import _EPS, _malloc_trim, check_R, check_samples, delta_ladder, seeded_generator
 from .hgeom import (
     MetricKind,
     Point,
@@ -42,91 +41,39 @@ from .hgeom import (
 _BLOCK = 2**15
 
 
-def _find_malloc_trim():
-    """glibc's malloc_trim, or a no-op where there is no glibc."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return lambda pad: 0
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
-_malloc_trim = _find_malloc_trim()
-
-
 # ---------------------------------------------------------------------------
 # neighborhood width rules
 
-@dataclass(frozen=True, slots=True)
-class PowerLaw:
-    """rho = r^(1 + epsilon); shrinks faster than the ball."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-
-    def rho(self, r: float) -> float:
-        return r ** (1.0 + self.epsilon)
-
-    def describe(self) -> dict:
-        return {"rule": "power_law", "epsilon": self.epsilon}
+# rule: (parameter, range check, what the range needs, rho(value, r))
+_RULES = {
+    "power_law": ("epsilon", lambda v: 0.0 < v < 1.0, "lie in (0, 1)",
+                  lambda epsilon, r: r ** (1.0 + epsilon)),
+    "linear": ("delta", lambda v: 0.0 < v < math.inf, "be finite and positive",
+               lambda delta, r: delta * r),
+    "quadratic": ("M", lambda v: v > 1.0, "be > 1", lambda M, r: M * r * r),
+    "fixed": ("fraction", lambda v: v >= 0.0, "be >= 0", lambda fraction, r: fraction * r),
+}
 
 
 @dataclass(frozen=True, slots=True)
-class Linear:
-    """rho = delta * r; a fixed fraction of the ball."""
+class RhoRule:
+    """A neighborhood width rho(r): power_law r^(1 + epsilon) shrinks faster than
+    the ball, linear delta * r and fixed fraction * r are fractions of it, and
+    quadratic M r^2 is comparable to the vertical thickness of anisotropic balls."""
 
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be finite and positive, got {self.delta}")
-
-    def rho(self, r: float) -> float:
-        return self.delta * r
-
-    def describe(self) -> dict:
-        return {"rule": "linear", "delta": self.delta}
-
-
-@dataclass(frozen=True, slots=True)
-class Quadratic:
-    """rho = M * r^2; comparable to the vertical thickness of anisotropic balls."""
-
-    M: float
+    rule: str
+    value: float
 
     def __post_init__(self):
-        if not self.M > 1.0:
-            raise ValueError(f"M must be > 1, got {self.M}")
+        name, ok, need, _ = _RULES[self.rule]
+        if not ok(self.value):
+            raise ValueError(f"{name} must {need}, got {self.value}")
 
     def rho(self, r: float) -> float:
-        return self.M * r * r
+        return _RULES[self.rule][3](self.value, r)
 
     def describe(self) -> dict:
-        return {"rule": "quadratic", "M": self.M}
-
-
-@dataclass(frozen=True, slots=True)
-class Fixed:
-    """rho = fraction * r."""
-
-    fraction: float
-
-    def __post_init__(self):
-        if not self.fraction >= 0.0:
-            raise ValueError(f"fraction must be >= 0, got {self.fraction}")
-
-    def rho(self, r: float) -> float:
-        return self.fraction * r
-
-    def describe(self) -> dict:
-        return {"rule": "fixed", "fraction": self.fraction}
-
-
-RhoRule = PowerLaw | Linear | Quadratic | Fixed
+        return {"rule": self.rule, _RULES[self.rule][0]: self.value}
 
 
 @dataclass(slots=True)
@@ -299,14 +246,16 @@ def thm1_scan(cloud: WeightedCloud, base_points, epsilon: float, radii,
               s: float = 1.0) -> ProbeResult:
     """Shrinking-neighborhood scan, rho = r^(1+epsilon), denominator r^s.
     The quantity of interest is the minimum over the radius grid."""
-    return scan_density(cloud, base_points, radii, PowerLaw(epsilon), s, "r^s", probe="thm1")
+    return scan_density(cloud, base_points, radii, RhoRule("power_law", epsilon), s, "r^s",
+                        probe="thm1")
 
 
 def thm2_scan(cloud: WeightedCloud, base_points, delta: float, radii,
               s: float) -> ProbeResult:
     """Linear-neighborhood scan, rho = delta * r, denominator (2r)^s.
     The quantity of interest is the maximum over the radius grid."""
-    return scan_density(cloud, base_points, radii, Linear(delta), s, "(2r)^s", probe="thm2")
+    return scan_density(cloud, base_points, radii, RhoRule("linear", delta), s, "(2r)^s",
+                        probe="thm2")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +305,7 @@ def ex1_scan(cloud: WeightedCloud, h_by_level: dict[int, float], ks,
         by_r[r] = k
     if not radii:
         raise ValueError("no admissible k: the ex1 probe needs level >= 2")
-    return scan_density(cloud, base_points, radii, Fixed(1.0 / 8.0), 1.0, "2r",
+    return scan_density(cloud, base_points, radii, RhoRule("fixed", 1.0 / 8.0), 1.0, "2r",
                         probe="ex1", extra={"k_by_radius": by_r})
 
 
@@ -403,7 +352,7 @@ def ex2_default_radii(M: float, level: int) -> list[float]:
 def ex2_scan(cloud: WeightedCloud, M: float, level: int, radii, base_points) -> ProbeResult:
     """Quadratic-neighborhood probe, rho = M r^2, denominator 2r; every radius
     must lie in a window 2^(1-k) <= r < 2^(2-k) with k in ex2_windows(M, level)."""
-    rule = Quadratic(M)  # rejects a bad M before any window check
+    rule = RhoRule("quadratic", M)  # rejects a bad M before any window check
     windows = ex2_windows(M, level)
     radii = _checked_radii(radii)  # ex2_window_level needs finite radii > 0
     for r in radii:
@@ -475,13 +424,13 @@ def ex3_probe(d: float, qh_depth: int, cantor_depth: int, radii=None,
     c0, cd = estimate_annulus_constants(cantor, radii, d)
     s = 2.0 + d
     if c0 <= 0.0:
-        return ProbeResult(probe="ex3", convention="r^s", rho_rule=Fixed(0.0), s=s,
+        return ProbeResult(probe="ex3", convention="r^s", rho_rule=RhoRule("fixed", 0.0), s=s,
                            points=[], summary={"min_ratio": math.nan, "max_ratio": math.nan,
                                                "argmin_r": None, "argmax_r": None},
                            error_bound=math.inf,
                            extra={"c0": 0.0, "c_d": 0.0, "status": "degenerate"})
     bases = panel_from_cloud(fs, base_count)
-    return scan_density(fs, bases, radii, Fixed(c0 / 6.0), s, "r^s", probe="ex3",
+    return scan_density(fs, bases, radii, RhoRule("fixed", c0 / 6.0), s, "r^s", probe="ex3",
                         extra={"c0": c0, "c_d": cd, "status": "ok"})
 
 

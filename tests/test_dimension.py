@@ -158,10 +158,8 @@ def test_net_counts_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_net_counts_trims_the_heap_once_per_ladder(monkeypatch):
-    from heislab import probes
-
     calls = []
-    monkeypatch.setattr(probes, "_malloc_trim", lambda pad: calls.append(pad) or 0)
+    monkeypatch.setattr(dimension, "_malloc_trim", lambda pad: calls.append(pad) or 0)
     cloud, deltas = _ladder_clouds()[0]
     counts = net_counts(cloud, deltas, H)
     assert calls == [0]

@@ -41,3 +41,14 @@ def test_every_top_level_name_is_used():
                 continue
             unused += [f"{path.name}:{name}" for name in names if name not in used]
     assert not unused
+
+
+def test_every_import_is_at_module_level():
+    # an import inside a function or class would hide a dependency, and so a cycle
+    nested = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
+                           if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    assert not nested

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heislab import probes
+from heislab import dimension, probes
 from heislab.constructions import (
     Example1,
     Example2,
@@ -28,12 +28,9 @@ from heislab.hgeom import (
     plane_dist_many,
 )
 from heislab.probes import (
-    Fixed,
-    Linear,
     PointSeries,
-    PowerLaw,
     ProbeResult,
-    Quadratic,
+    RhoRule,
     SeriesEntry,
     _denominator,
     estimate_annulus_constants,
@@ -284,7 +281,7 @@ def test_ex3_control_horizontal_input_zero(xseg):
 
 def test_scan_density_summary_args():
     tseg = segment_cloud("t", -1.0, 1.0, 1000)
-    res = scan_density(tseg, [O], [0.2, 0.1], Linear(0.25), 1.0, "(2r)^s", probe="thm2")
+    res = scan_density(tseg, [O], [0.2, 0.1], RhoRule("linear", 0.25), 1.0, "(2r)^s", probe="thm2")
     assert set(res.summary) == {"min_ratio", "max_ratio", "argmin_r", "argmax_r"}
     assert res.summary["argmax_r"] in (0.2, 0.1)
 
@@ -294,7 +291,7 @@ def test_scan_density_rejects_bad_radii(radii):
     # a NaN radius used to scan and report a max ratio of 0.0
     tseg = segment_cloud("t", -1.0, 1.0, 100)
     with pytest.raises(ValueError, match="finite positive"):
-        scan_density(tseg, [O], radii, Linear(0.25), 1.0, "(2r)^s", probe="thm2")
+        scan_density(tseg, [O], radii, RhoRule("linear", 0.25), 1.0, "(2r)^s", probe="thm2")
     with pytest.raises(ValueError, match="finite positive"):
         ex3_probe(0.5, 1, 2, radii)  # before the annulus estimate
 
@@ -311,7 +308,7 @@ def test_scan_density_rejects_bad_denominator(convention, r, s):
     # is not reached; NaN ratios or a ZeroDivisionError came out before
     tseg = segment_cloud("t", -1.0, 1.0, 100)
     with pytest.raises(ValueError, match="not a finite positive number"):
-        scan_density(tseg, [], [1.0, r], Linear(0.25), s, convention, probe="thm2")
+        scan_density(tseg, [], [1.0, r], RhoRule("linear", 0.25), s, convention, probe="thm2")
 
 
 def test_ex3_probe_owns_its_default_radii():
@@ -328,7 +325,7 @@ def test_scan_density_rejects_empty_panel():
     # an empty panel used to report min_ratio inf and max_ratio -inf
     tseg = segment_cloud("t", -1.0, 1.0, 100)
     with pytest.raises(ValueError, match="at least one base point"):
-        scan_density(tseg, [], [0.1], Linear(0.25), 1.0, "(2r)^s", probe="thm2")
+        scan_density(tseg, [], [0.1], RhoRule("linear", 0.25), 1.0, "(2r)^s", probe="thm2")
     with pytest.raises(ValueError, match="at least one base point"):
         ex1_probe(3, base_count=0)
 
@@ -400,10 +397,10 @@ def oracle_clouds(tmp_path_factory):
 
 
 SCAN_RULES = pytest.mark.parametrize("rule, s, convention", [
-    (PowerLaw(0.5), 1.0, "r^s"),
-    (Linear(0.25), 1.5, "(2r)^s"),
-    (Quadratic(2.0), 1.0, "2r"),
-    (Fixed(0.125), 2.5, "r^s"),
+    (RhoRule("power_law", 0.5), 1.0, "r^s"),
+    (RhoRule("linear", 0.25), 1.5, "(2r)^s"),
+    (RhoRule("quadratic", 2.0), 1.0, "2r"),
+    (RhoRule("fixed", 0.125), 2.5, "r^s"),
 ], ids=["power_law", "linear", "quadratic", "fixed"])
 
 
@@ -439,7 +436,7 @@ def test_pruned_scan_rounding_edges():
     # row a counts in the sphere band at r_a, row b in the slab band at r_b
     # (rho = 2 r_b, e_plane = e)
     for radii in ([r_a], [r_b], [r_b, r_a]):
-        _assert_scan_matches_ref(cloud, [O], radii, Fixed(2.0), 1.0, "2r", "edge")
+        _assert_scan_matches_ref(cloud, [O], radii, RhoRule("fixed", 2.0), 1.0, "2r", "edge")
 
 
 # the test clouds fit in one block of the real size; these split them into many
@@ -472,15 +469,16 @@ def test_block_cull_keeps_a_row_at_the_reach(monkeypatch):
     r, e = 0.3, 0.1
     cloud = _line_cloud(np.array([r + e, 10.0, 11.0, 12.0, 20.0, 21.0, 22.0, 23.0]), e)
     assert cloud.placement_error == e and dist_many(cloud.points[:1], O, E)[0] == r + e
-    got = _assert_scan_matches_ref(cloud, [O], [r, 0.5 * r], Fixed(0.0), 1.0, "2r", "cull")
+    got = _assert_scan_matches_ref(cloud, [O], [r, 0.5 * r], RhoRule("fixed", 0.0), 1.0, "2r",
+                                   "cull")
     assert got["error_bound"] == 0.125 / (2.0 * r)
 
 
 def test_block_cull_far_base_point(monkeypatch):
     monkeypatch.setattr(probes, "_BLOCK", 7)
     cloud = _line_cloud(np.linspace(0.0, 1.0, 50), 0.01)
-    got = _assert_scan_matches_ref(cloud, [Point(100.0, 0.0, 0.0)], [2.0, 0.5], Linear(0.25),
-                                   1.0, "(2r)^s", "far")
+    got = _assert_scan_matches_ref(cloud, [Point(100.0, 0.0, 0.0)], [2.0, 0.5],
+                                   RhoRule("linear", 0.25), 1.0, "(2r)^s", "far")
     assert got["error_bound"] == 0.0
     assert all(e["inside"] == e["outside"] == e["ratio"] == 0.0
                for ps in got["points"] for e in ps["series"])
@@ -494,7 +492,8 @@ def test_block_scan_with_a_short_last_block(monkeypatch, tseg):
     cloud = WeightedCloud(tseg.points, weights, float(weights.sum()), tseg.source,
                           tseg.err_xy, tseg.err_t)
     bases = [O, Point(0.0, 0.0, 1.0), Point(0.01, 0.0, -0.5)]
-    for rule, s, convention in ((Linear(0.25), 1.0, "(2r)^s"), (Fixed(0.125), 1.0, "r^s")):
+    for rule, s, convention in ((RhoRule("linear", 0.25), 1.0, "(2r)^s"),
+                                (RhoRule("fixed", 0.125), 1.0, "r^s")):
         got = _assert_scan_matches_ref(cloud, bases, [1.5, 0.2, 0.01], rule, s, convention, "short")
         # at r = 0.01 the second base point's ball lies in the short last block,
         # which holds t in (0.984, 1]
@@ -507,19 +506,20 @@ def test_heap_trim_is_a_no_op_without_glibc(monkeypatch, libc):
         if libc is None:
             raise OSError("cannot open the program's own symbols")
         return libc
-    monkeypatch.setattr(probes.ctypes, "CDLL", cdll)
-    assert probes._find_malloc_trim()(0) == 0
+    monkeypatch.setattr(dimension.ctypes, "CDLL", cdll)
+    assert dimension._find_malloc_trim()(0) == 0
 
 
 def test_rho_rules():
-    assert PowerLaw(0.5).rho(0.04) == 0.04**1.5
-    assert Linear(0.25).rho(0.2) == 0.05
-    assert Quadratic(2.0).rho(0.1) == pytest.approx(0.02)
-    assert Fixed(0.125).rho(0.4) == 0.05
-    with pytest.raises(ValueError):
-        PowerLaw(1.5)
-    with pytest.raises(ValueError):
-        Quadratic(0.5)
+    assert RhoRule("power_law", 0.5).rho(0.04) == 0.04**1.5
+    assert RhoRule("linear", 0.25).rho(0.2) == 0.05
+    assert RhoRule("quadratic", 2.0).rho(0.1) == pytest.approx(0.02)
+    assert RhoRule("fixed", 0.125).rho(0.4) == 0.05
+    # the labels every probe JSON pins
+    assert [RhoRule(rule, value).describe() for rule, value in (
+        ("power_law", 0.5), ("linear", 0.25), ("quadratic", 2.0), ("fixed", 0.125))] == [
+        {"rule": "power_law", "epsilon": 0.5}, {"rule": "linear", "delta": 0.25},
+        {"rule": "quadratic", "M": 2.0}, {"rule": "fixed", "fraction": 0.125}]
 
 
 def test_sandwich_direct_examples():
@@ -591,10 +591,29 @@ def test_sandwich_R_bound_follows_the_smallest_r():
         sandwich_sample(2.0**20 * 0.25 * (1 + 2**-52), (1.0, 0.25), 10, 0)
 
 
-@pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0])
-def test_linear_rule_needs_a_finite_positive_delta(delta):
-    with pytest.raises(ValueError, match="delta must be finite and positive"):
-        thm2_scan(segment_cloud("t", -1.0, 1.0, 16), [O], delta, [0.5], s=1.0)
+RANGE_CASES = [
+    ("power_law", 0.0, "epsilon must lie in (0, 1), got 0.0"),
+    ("power_law", 1.0, "epsilon must lie in (0, 1), got 1.0"),
+    ("power_law", math.nan, "epsilon must lie in (0, 1), got nan"),
+    ("linear", 0.0, "delta must be finite and positive, got 0.0"),
+    ("linear", math.inf, "delta must be finite and positive, got inf"),
+    ("linear", math.nan, "delta must be finite and positive, got nan"),
+    ("quadratic", 1.0, "M must be > 1, got 1.0"),
+    ("quadratic", math.nan, "M must be > 1, got nan"),
+    ("fixed", -0.1, "fraction must be >= 0, got -0.1"),
+    ("fixed", math.nan, "fraction must be >= 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("rule, value, message", RANGE_CASES,
+                         ids=[f"{rule}-{value}" for rule, value, _ in RANGE_CASES])
+def test_rho_rule_range(rule, value, message):
+    with pytest.raises(ValueError) as exc:
+        RhoRule(rule, value)
+    assert str(exc.value) == message
+    if rule == "linear":  # thm2_scan checks delta before it scans
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            thm2_scan(segment_cloud("t", -1.0, 1.0, 16), [O], value, [0.5], s=1.0)
 
 
 def test_sandwich_validations():

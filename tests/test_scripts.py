@@ -15,8 +15,10 @@ ROOT = Path(__file__).resolve().parents[1]
     ("run_dimension_suite.py", ["--fs-qh-depth", "2", "--fs-cantor-depth", "2"],
      "set                    n    dim_E    dim_H        targets   band    time"),
     ("run_density_panels.py", ["--level", "3"], "ex1 fixed-fraction rho=r/8: min ratio "),
+    ("run_density_panels.py", ["--level", "3", "--M", "8"],
+     "ex1 fixed-fraction rho=r/8: min ratio "),
     ("run_sandwich_audit.py", ["--samples", "2000"], "inner inclusion:   0 violations / "),
-], ids=["dimension-suite", "density-panels", "sandwich-audit"])
+], ids=["dimension-suite", "density-panels", "density-panels-M8", "sandwich-audit"])
 def test_script_runs(script, args, headline):
     path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                                   if p]
