@@ -82,6 +82,8 @@ class SeriesEntry:
     inside: float
     outside: float
     ratio: float
+    # sphere-plus-slab band mass over the denominator; error_bound is its maximum
+    band: float = 0.0
 
 
 @dataclass(slots=True)
@@ -102,11 +104,21 @@ class ProbeResult:
     extra: dict = field(default_factory=dict)
 
 
-def _mass(weights: np.ndarray, parts: list[np.ndarray]) -> float:
-    """Weight of the cloud rows indexed by `parts`, gathered in order and summed as
-    one array; an empty selection weighs 0.0. The indices are joined as intp,
-    which numpy gathers with directly, where int32 ones it would first cast."""
-    return float(weights[np.concatenate(parts, dtype=np.intp)].sum()) if parts else 0.0
+def _mass(weights: np.ndarray, parts: list[tuple]) -> float:
+    """Weight of the cloud rows that `parts` selects, summed as one array; an empty
+    selection weighs 0.0. A part is a block's start and the uint16 offsets of its
+    selected rows; each is gathered with np.take straight into one buffer, which
+    then holds weights[indices] in cloud order without a cloud-sized index array.
+    The offsets lie in their block by construction, and "clip" spares the copy
+    of `out` that take's default "raise" mode buffers."""
+    buf = np.empty(sum(offsets.size for _, offsets in parts))
+    pos = 0
+    for start, offsets in parts:
+        if offsets.size:
+            np.take(weights[start:start + _BLOCK], offsets, out=buf[pos:pos + offsets.size],
+                    mode="clip")
+            pos += offsets.size
+    return float(buf.sum())
 
 
 def _denominator(kind: str, r: float, s: float) -> float:
@@ -137,8 +149,9 @@ def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[f
                  rhos: list[float], e_ball: float, e_plane: float) -> list[tuple]:
     """Per radius, the rows of the ball near the plane through p, of the ball
     clear of it, and of the sphere and slab error bands (empty when both errors
-    are 0): four lists of int32 cloud row indices, one array per block read,
-    in cloud order. Reads the blocks of _BLOCK rows that begin at `starts`."""
+    are 0): four lists with one (block start, uint16 row offsets) pair per
+    block read, in cloud order, so a selected row costs 2 bytes. Reads the
+    blocks of _BLOCK <= 2^16 rows that begin at `starts`."""
     banded = e_ball > 0.0 or e_plane > 0.0
     picks = [([], [], [], []) for _ in radii]
     for start in starts:
@@ -147,7 +160,7 @@ def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[f
         rows = np.asfortranarray(points[start:start + _BLOCK])
         dE = dist_many(rows, p, MetricKind.EUCLIDEAN)
         pd = plane_dist_many(rows, p)
-        idx = np.arange(start, start + len(rows), dtype=np.int32)
+        idx = np.arange(len(rows), dtype=np.uint16)
         for r, rho, (near, clear, sphere, slab) in zip(radii, rhos, picks):
             # both halves: the two float expressions disagree at the edge
             keep = (dE - r <= e_ball) | (dE <= r + e_ball)
@@ -156,13 +169,13 @@ def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[f
                 if not idx.size:
                     break
             ball, close = dE <= r, pd <= rho
-            near.append(idx[ball & close])
-            clear.append(idx[ball & ~close])
+            near.append((start, idx[ball & close]))
+            clear.append((start, idx[ball & ~close]))
             if banded:
                 # sphere-boundary points already clear of the slab, and
                 # slab-boundary points already inside the ball
-                sphere.append(idx[(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane)])
-                slab.append(idx[(np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)])
+                sphere.append((start, idx[(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane)]))
+                slab.append((start, idx[(np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)]))
     return picks
 
 
@@ -185,12 +198,15 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     smaller radius either, so the working sets are nested and never lose a row
     a later radius needs; an empty working set ends the block.
 
-    Each mask records the cloud rows it selects. The distance kernels are
-    elementwise, so a block's values are bit-for-bit those of a whole-cloud
-    pass; and the rows of each sum, gathered block after block, are the
-    weights that a mask on the whole cloud selects, in the same cloud order.
-    So every sum adds the same numbers in the same order as on the whole
-    cloud, and the results are bit-identical.
+    Each mask records the rows it selects as uint16 offsets in its block. The
+    sums run smallest radius first and drop each radius's masks once summed;
+    the series keeps descending r. The distance kernels are elementwise, so a
+    block's values are bit-for-bit those of a whole-cloud pass; and the rows of
+    each sum, gathered block after block, are the weights that a mask on the
+    whole cloud selects, in the same cloud order. So every sum adds the same
+    numbers in the same order as on the whole cloud, and the results are
+    bit-identical. An entry whose ratio or band over the denominator is not
+    finite (a subnormal radius) is refused.
     """
     radii = _checked_radii(radii)
     denoms = [_denominator(convention, r, s) for r in radii]
@@ -209,7 +225,6 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     bound = max(np.abs(box_lo).max(initial=0.0), np.abs(box_hi).max(initial=0.0))
     reach = (radii[0] + e_ball) * (1.0 + 1e-9) + 8.0 * _EPS * bound
     point_series: list[PointSeries] = []
-    err = 0.0
     for p in base_points:
         q = p.as_array()
         gap = np.maximum(np.maximum(box_lo - q, q - box_hi), 0.0)
@@ -219,18 +234,24 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y)
         picks = _block_picks(points, starts[box <= reach], p, radii, rhos, e_ball, e_plane)
         series = []
-        for r, denom, (near, clear, sphere, slab) in zip(radii, denoms, picks):
+        for r, denom in zip(radii[::-1], denoms[::-1]):
+            # smallest radius first, each radius's lists dropped once summed, so
+            # the largest gather runs with little else alive
+            near, clear, sphere, slab = picks.pop()
             outside = _mass(weights, clear)
-            series.append(SeriesEntry(r=r, inside=_mass(weights, near), outside=outside,
-                                      ratio=outside / denom))
             # mass whose classification flip could change the outside term
             band = _mass(weights, sphere)
             band += _mass(weights, slab)
-            err = max(err, band / denom)
-        point_series.append(PointSeries(p=p, series=series))
-    # the blocks' masks and row indices, freed by now, were many small arrays
+            entry = SeriesEntry(r=r, inside=_mass(weights, near), outside=outside,
+                                ratio=outside / denom, band=band / denom)
+            if not (math.isfinite(entry.ratio) and math.isfinite(entry.band)):
+                raise ValueError(f"the density ratio or its error band at r={r} is not finite "
+                                 f"over the denominator {convention} = {denom}")
+            series.append(entry)
+        del near, clear, sphere, slab
+        point_series.append(PointSeries(p=p, series=series[::-1]))
+    # the blocks' masks and row offsets, freed by now, were many small arrays
     # spread over the heap; hand its free pages back
-    del picks, near, clear, sphere, slab
     _malloc_trim(0)
     # min and max return the first extreme entry in scan order
     entries = [e for ps in point_series for e in ps.series]
@@ -238,8 +259,8 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     hi = max(entries, key=lambda e: e.ratio)
     summary = {"min_ratio": lo.ratio, "max_ratio": hi.ratio, "argmin_r": lo.r, "argmax_r": hi.r}
     return ProbeResult(probe=probe, convention=convention, rho_rule=rho_rule, s=s,
-                       points=point_series, summary=summary, error_bound=err,
-                       extra=extra or {})
+                       points=point_series, summary=summary,
+                       error_bound=max(e.band for e in entries), extra=extra or {})
 
 
 def thm1_scan(cloud: WeightedCloud, base_points, epsilon: float, radii,

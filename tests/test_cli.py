@@ -406,6 +406,19 @@ def test_density_bad_denominator_exits_2(tmp_path, capsys, s):
     assert not out.exists()
 
 
+def test_density_subnormal_radius_exits_2(tmp_path, capsys):
+    # the denominator 2e-320 is finite and positive, but the band over it
+    # overflowed and "error_bound": Infinity was written
+    tseg_path, out = tmp_path / "tseg.csv", tmp_path / "o.json"
+    run("construct", "--set", "tseg", "--points", "1000", "--out", tseg_path)
+    capsys.readouterr()
+    assert run("density", "--in", tseg_path, "--probe", "thm2", "--radii", "1e-320", "--delta",
+               "0.25", "--s", "1", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "r=1e-320" in err
+    assert not out.exists()
+
+
 def test_density_thm1_assert_gate_fails(tmp_path, capsys):
     # a vertical segment keeps mass off every shrinking plane neighborhood
     tseg_path, out = tmp_path / "tseg.csv", tmp_path / "p.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,13 @@ def test_scan_density_rejects_bad_denominator(convention, r, s):
         scan_density(tseg, [], [1.0, r], RhoRule("linear", 0.25), s, convention, probe="thm2")
 
 
+def test_scan_density_rejects_a_ratio_past_the_float_range(tseg):
+    # the denominator 1e-320 is finite and positive, but the band over it is not:
+    # error_bound came out inf
+    with pytest.raises(ValueError, match=r"at r=1e-320 is not finite"):
+        thm1_scan(tseg, [Point(0, 0, 0.001)], 0.5, [1e-320], s=1.0)
+
+
 def test_ex3_probe_owns_its_default_radii():
     cantor = cantor_cloud(0.5, 4)
     fs = product_cloud(hsquare_cloud(2), cantor)
@@ -378,8 +386,11 @@ def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, extra=N
 
 
 def _assert_scan_matches_ref(*args):
-    got = probe_result_to_dict(scan_density(*args))
+    res = scan_density(*args)
+    got = probe_result_to_dict(res)
     assert got == probe_result_to_dict(_scan_ref(*args))
+    # the JSON carries no band, and error_bound is the largest one
+    assert res.error_bound == max(e.band for ps in res.points for e in ps.series)
     return got
 
 
@@ -498,6 +509,44 @@ def test_block_scan_with_a_short_last_block(monkeypatch, tseg):
         # at r = 0.01 the second base point's ball lies in the short last block,
         # which holds t in (0.984, 1]
         assert got["points"][1]["series"][-1]["outside"] > 0
+
+
+def test_block_offsets_at_the_real_block_size():
+    # offsets are uint16 inside 2^15-row blocks; distinct weights, so that an
+    # offset read against the wrong block start reads another weight
+    assert probes._BLOCK <= 2**16
+    seg = segment_cloud("t", -1.0, 1.0, 70_000)
+    weights = np.linspace(1.0, 3.0, len(seg)) ** 2
+    cloud = WeightedCloud(seg.points, weights, float(weights.sum()), seg.source, seg.err_xy,
+                          seg.err_t)
+    t = cloud.points[:, 2]
+    edge = probes._BLOCK
+    assert 2 * edge < len(cloud) < 3 * edge
+    # balls inside the first block, across rows 32 767/32 768, and in the short last block
+    bases = [Point(0.0, 0.0, t[10_000]), Point(0.0, 0.0, 0.5 * (t[edge - 1] + t[edge])),
+             Point(0.001, 0.0, t[-100])]
+    for rule, s, convention in ((RhoRule("linear", 0.25), 1.0, "(2r)^s"),
+                                (RhoRule("fixed", 0.125), 1.0, "r^s")):
+        got = _assert_scan_matches_ref(cloud, bases, [0.02, 0.005, 1e-4], rule, s, convention,
+                                       "offsets")
+        assert all(e["outside"] > 0 for ps in got["points"] for e in ps["series"][:2])
+
+
+@pytest.mark.parametrize("radii, per_row", [(None, 48), (list(np.geomspace(1.2, 0.012, 17)), 32)],
+                         ids=["default", "criterion8"])
+def test_ex3_scan_memory_per_row(radii, per_row):
+    # the masks keep 2-byte block offsets, and each radius's are dropped once summed
+    cantor = cantor_cloud(0.5, 5)
+    fs = product_cloud(hsquare_cloud(6), cantor)
+    assert len(fs) == 131072
+    tracemalloc.start()
+    try:
+        res = ex3_probe(0.5, 6, 5, radii, base_count=12, fs_cloud=fs, cantor_cloud_in=cantor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.extra["status"] == "ok"
+    assert peak <= per_row * len(fs), peak / len(fs)
 
 
 @pytest.mark.parametrize("libc", [None, object()], ids=["no-dlopen", "no-malloc-trim"])
