@@ -197,8 +197,8 @@ def _probe_gate(result, probe: str) -> bool:
         return s["max_ratio"] > 2.0 ** (-(result.s + 1.0))
     # ex3: the worst-over-panel ratio at each radius, the empirical uniform lower
     # envelope, must stay positive and stable across the radius decades. Every base
-    # point scans the same radii in the same order; a degenerate probe scans none
-    if not result.points:
+    # point scans the same radii in the same order; a degenerate probe fails
+    if result.extra["status"] != "ok":
         return False
     envelope = np.min([[e.ratio for e in ps.series] for ps in result.points], axis=0)
     worst = envelope.min()

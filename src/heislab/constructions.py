@@ -409,8 +409,8 @@ def write_text(text, path) -> None:
 
 
 def write_json(obj, path) -> None:
-    """Write obj as sorted, indented JSON through write_text."""
-    write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
+    """Write obj as sorted, indented JSON through write_text; NaN or inf raises ValueError."""
+    write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", path)
 
 
 def save_cloud(cloud: WeightedCloud, path) -> None:

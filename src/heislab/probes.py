@@ -25,7 +25,7 @@ from .constructions import (
     level_sides,
     product_cloud,
 )
-from .dimension import _EPS, _malloc_trim, check_R, check_samples, delta_ladder, seeded_generator
+from .dimension import _EPS, check_R, check_samples, delta_ladder, seeded_generator
 from .hgeom import (
     MetricKind,
     Point,
@@ -105,19 +105,18 @@ class ProbeResult:
 
 
 def _mass(weights: np.ndarray, parts: list[tuple]) -> float:
-    """Weight of the cloud rows that `parts` selects, summed as one array; an empty
-    selection weighs 0.0. A part is a block's start and the uint16 offsets of its
-    selected rows; each is gathered with np.take straight into one buffer, which
-    then holds weights[indices] in cloud order without a cloud-sized index array.
-    The offsets lie in their block by construction, and "clip" spares the copy
-    of `out` that take's default "raise" mode buffers."""
+    """Weight of the cloud rows that `parts` selects, summed as one array; an
+    empty list weighs 0.0. A part is a block's start and the uint16 offsets of its
+    selected rows, at least one; each is gathered with np.take straight into one
+    buffer, which then holds weights[indices] in cloud order without a
+    cloud-sized index array. The offsets lie in their block by construction, and
+    "clip" spares the copy of `out` that take's default "raise" mode buffers."""
     buf = np.empty(sum(offsets.size for _, offsets in parts))
     pos = 0
     for start, offsets in parts:
-        if offsets.size:
-            np.take(weights[start:start + _BLOCK], offsets, out=buf[pos:pos + offsets.size],
-                    mode="clip")
-            pos += offsets.size
+        np.take(weights[start:start + _BLOCK], offsets, out=buf[pos:pos + offsets.size],
+                mode="clip")
+        pos += offsets.size
     return float(buf.sum())
 
 
@@ -150,8 +149,8 @@ def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[f
     """Per radius, the rows of the ball near the plane through p, of the ball
     clear of it, and of the sphere and slab error bands (empty when both errors
     are 0): four lists with one (block start, uint16 row offsets) pair per
-    block read, in cloud order, so a selected row costs 2 bytes. Reads the
-    blocks of _BLOCK <= 2^16 rows that begin at `starts`."""
+    block whose selection holds rows, in cloud order, so a selected row costs 2
+    bytes. Reads the blocks of _BLOCK <= 2^16 rows that begin at `starts`."""
     banded = e_ball > 0.0 or e_plane > 0.0
     picks = [([], [], [], []) for _ in radii]
     for start in starts:
@@ -169,13 +168,15 @@ def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[f
                 if not idx.size:
                     break
             ball, close = dE <= r, pd <= rho
-            near.append((start, idx[ball & close]))
-            clear.append((start, idx[ball & ~close]))
+            masks = [ball & close, ball & ~close]
             if banded:
                 # sphere-boundary points already clear of the slab, and
                 # slab-boundary points already inside the ball
-                sphere.append((start, idx[(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane)]))
-                slab.append((start, idx[(np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)]))
+                masks += [(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane),
+                          (np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)]
+            for parts, mask in zip((near, clear, sphere, slab), masks):
+                if (offsets := idx[mask]).size:
+                    parts.append((start, offsets))
     return picks
 
 
@@ -250,9 +251,6 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
             series.append(entry)
         del near, clear, sphere, slab
         point_series.append(PointSeries(p=p, series=series[::-1]))
-    # the blocks' masks and row offsets, freed by now, were many small arrays
-    # spread over the heap; hand its free pages back
-    _malloc_trim(0)
     # min and max return the first extreme entry in scan order
     entries = [e for ps in point_series for e in ps.series]
     lo = min(entries, key=lambda e: e.ratio)
@@ -436,23 +434,17 @@ def ex3_probe(d: float, qh_depth: int, cantor_depth: int, radii=None,
     """Vertical-product probe: estimate the annulus constants (c0, c_d) on the
     Cantor cloud, then scan the product set with rho = (c0/6) * r and
     denominator r^s at s = 2 + d. The radii default to 17 log-spaced ones
-    from 5 down to 0.05."""
+    from 5 down to 0.05. When no c0 fits the radii, the scan runs at c0 = 0
+    and its status reads "degenerate"."""
     if not (0.0 < d < 1.0):
         raise ValueError(f"d must lie in (0, 1), got {d}")
     radii = _checked_radii(delta_ladder(5.0, 0.05, 17) if radii is None else radii)
     cantor = cantor_cloud_in if cantor_cloud_in is not None else cantor_cloud(d, cantor_depth)
     fs = fs_cloud if fs_cloud is not None else product_cloud(hsquare_cloud(qh_depth), cantor)
     c0, cd = estimate_annulus_constants(cantor, radii, d)
-    s = 2.0 + d
-    if c0 <= 0.0:
-        return ProbeResult(probe="ex3", convention="r^s", rho_rule=RhoRule("fixed", 0.0), s=s,
-                           points=[], summary={"min_ratio": math.nan, "max_ratio": math.nan,
-                                               "argmin_r": None, "argmax_r": None},
-                           error_bound=math.inf,
-                           extra={"c0": 0.0, "c_d": 0.0, "status": "degenerate"})
     bases = panel_from_cloud(fs, base_count)
-    return scan_density(fs, bases, radii, RhoRule("fixed", c0 / 6.0), s, "r^s", probe="ex3",
-                        extra={"c0": c0, "c_d": cd, "status": "ok"})
+    return scan_density(fs, bases, radii, RhoRule("fixed", c0 / 6.0), 2.0 + d, "r^s", probe="ex3",
+                        extra={"c0": c0, "c_d": cd, "status": "ok" if c0 > 0.0 else "degenerate"})
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +493,6 @@ def sandwich_sample(R: float, r_values, samples: int, seed: int) -> SandwichRepo
     rep = SandwichReport(samples=samples, inner_violations=0, outer_violations=0,
                          R=R, seed=seed, r_values=r_values)
     for stream, (r, n) in enumerate(zip(r_values, per)):
-        if n == 0:
-            continue
         rng = seeded_generator(seed, stream)
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         rad = R * np.sqrt(rng.random(n))

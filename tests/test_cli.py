@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,18 @@ from heislab.probes import SandwichReport
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every heislab line of the fenced block under "## CLI" in the README exits 0
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("heislab ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_construct_ex1(tmp_path, capsys):
@@ -442,6 +455,23 @@ def test_density_ex3_degenerate(tmp_path):
     assert run(*argv) == 0
     assert json.loads(out.read_text())["extra"]["status"] == "degenerate"
     assert run(*argv, "--assert") == 4
+
+
+def test_density_ex3_degenerate_json_is_strict(tmp_path):
+    # the degenerate probe used to write NaN ratios and an Infinity error bound
+    fs_path, cantor_path = tmp_path / "fs.csv", tmp_path / "cantor.csv"
+    run("construct", "--set", "fs", "--d", "0.5", "--depth", "2", "--cantor-depth", "3",
+        "--out", fs_path)
+    run("construct", "--set", "cantor", "--d", "0.5", "--depth", "3", "--out", cantor_path)
+    out = tmp_path / "p.json"
+    assert run("density", "--in", fs_path, "--probe", "ex3", "--cantor-in", cantor_path,
+               "--radii", "1e-9", "--out", out) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not a JSON number")
+
+    res = json.loads(out.read_text(), parse_constant=refuse)
+    assert res["extra"]["status"] == "degenerate" and res["points"]
 
 
 @pytest.mark.parametrize("radii, code", [

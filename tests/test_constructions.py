@@ -30,6 +30,7 @@ from heislab.constructions import (
     save_cloud,
     segment_cloud,
     subdivide_rect,
+    write_json,
     write_text,
 )
 from heislab.hgeom import MetricKind, Point
@@ -495,6 +496,15 @@ def test_write_text_failure_removes_temp_and_keeps_target(tmp_path):
         write_text(chunks(), path)
     assert path.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    # strict JSON has no NaN or Infinity
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json({"x": value}, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_cloud_line_ends_and_empty_lines(tmp_path):

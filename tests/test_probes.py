@@ -319,6 +319,17 @@ def test_scan_density_rejects_a_ratio_past_the_float_range(tseg):
         thm1_scan(tseg, [Point(0, 0, 0.001)], 0.5, [1e-320], s=1.0)
 
 
+def test_ex3_degenerate_scans_at_c0_zero():
+    # no annulus constant fits r = 1e-9: the probe still scans, at c0 = 0
+    cantor = cantor_cloud(0.5, 3)
+    fs = product_cloud(hsquare_cloud(2), cantor)
+    res = ex3_probe(0.5, 0, 0, [1e-9], base_count=12, fs_cloud=fs, cantor_cloud_in=cantor)
+    extra = {"c0": 0.0, "c_d": 0.0, "status": "degenerate"}
+    assert res.extra == extra and res.points
+    assert probe_result_to_dict(res) == _assert_scan_matches_ref(
+        fs, panel_from_cloud(fs, 12), [1e-9], RhoRule("fixed", 0.0), 2.5, "r^s", "ex3", extra)
+
+
 def test_ex3_probe_owns_its_default_radii():
     cantor = cantor_cloud(0.5, 4)
     fs = product_cloud(hsquare_cloud(2), cantor)
@@ -461,6 +472,23 @@ def test_block_scan_matches_unpruned_reference(monkeypatch, oracle_clouds, block
     test_pruned_scan_matches_unpruned_reference(oracle_clouds, name, rule, s, convention)
 
 
+@pytest.mark.parametrize("name", ["ex1", "fs", "bare"])
+@SCAN_RULES
+def test_no_empty_part_reaches_mass(monkeypatch, oracle_clouds, name, rule, s, convention):
+    # a block records nothing for a selection with no rows
+    sizes = []
+    mass = probes._mass
+
+    def spy(weights, parts):
+        sizes.extend(offsets.size for _, offsets in parts)
+        return mass(weights, parts)
+
+    monkeypatch.setattr(probes, "_mass", spy)
+    monkeypatch.setattr(probes, "_BLOCK", 7)
+    test_pruned_scan_matches_unpruned_reference(oracle_clouds, name, rule, s, convention)
+    assert sizes and min(sizes) > 0
+
+
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_block_scan_rounding_edges(monkeypatch, block):
     monkeypatch.setattr(probes, "_BLOCK", block)
@@ -594,6 +622,15 @@ def test_sandwich_sampler_inner_and_plane_clean():
     assert (rep.inner_hits, rep.outer_hits, rep.outer_ball_violations) == (5203, 23666, 13337)
     # deterministic for a fixed seed
     again = sandwich_sample(2.0, (1.0, 0.3, 0.1), 30_000, seed=1)
+    assert sandwich_report_to_dict(again) == sandwich_report_to_dict(rep)
+
+
+def test_sandwich_stream_without_samples():
+    # 2 samples over 3 radii: the stream of r = 0.1 draws none and adds 0
+    rep = sandwich_sample(2.0, (1.0, 0.3, 0.1), 2, 0)
+    assert rep.samples == 2
+    assert rep.inner_hits <= 2 and rep.outer_hits <= 2
+    again = sandwich_sample(2.0, (1.0, 0.3, 0.1), 2, 0)
     assert sandwich_report_to_dict(again) == sandwich_report_to_dict(rep)
 
 
