@@ -421,6 +421,7 @@ def save_cloud(cloud: WeightedCloud, path) -> None:
     columns = []
     for col in (*cloud.points.T, cloud.weights):
         bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+        inv = inv.astype(np.min_scalar_type(bits.size - 1))  # 1-4 bytes a row, not 8
         columns.append((np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object),
                         inv))
 

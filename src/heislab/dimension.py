@@ -91,6 +91,8 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive, got {delta}")
     points, n = cloud.points, len(cloud)
+    if n > np.iinfo(np.int32).max:  # every n-length index array below is int32
+        raise ResourceLimitError(f"{n} points exceed the 2**31 - 1 rows a net lattice indexes")
     if n == 0 or not np.isfinite(points).all():
         raise ValueError("the cloud must be non-empty with finite coordinates")
     gauge = metric is MetricKind.HEISENBERG
@@ -112,16 +114,17 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
         bound = max(bound, -srt[0], srt[-1])
         del srt
         reach = delta * (1.0 + 1e-9) + 8.0 * _EPS * bound
-        r = lo.searchsorted(coord, "right")
+        r = lo.searchsorted(coord, "right").astype(np.int32)
         r -= 1
         axes.append((r, lo, hi.searchsorted(lo - reach), lo.searchsorted(hi + reach, "right") - 1))
-    (code, X, xfirst, xlast), (ry, Y, yfirst, ylast) = axes
+    (rx, X, xfirst, xlast), (ry, Y, yfirst, ylast) = axes
     del axes, r
-    code *= Y.size
+    code = np.multiply(rx, Y.size, dtype=np.int64)  # |X| |Y| may pass 2**31
+    del rx
     code += ry
     del ry
     codes = np.unique(code)
-    col = codes.searchsorted(code)  # the dense rank of each point's column
+    col = codes.searchsorted(code).astype(np.int32)  # the dense rank of each point's column
     del code
     # neighbour table in CSR form: the columns within reach of each column
     cx, cy = np.divmod(codes, Y.size)
@@ -154,7 +157,7 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
     key = np.subtract(s, smin, out=s if gauge else None)  # s's own buffer, never t's
     del s
     key += base[col]
-    order = key.argsort()
+    order = key.argsort().astype(np.int32)
     key.sort()
     covered, centers, c = np.zeros(n, dtype=bool), [], 0
     with _SWEEP:
@@ -181,7 +184,7 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
             last = key.searchsorted(b + hi, "right").tolist()
             idx = np.concatenate([order[a:e] for a, e in zip(first, last)])
             for start in range(0, idx.size, _MEASURE):
-                part = idx[start:start + _MEASURE]
+                part = idx[start:start + _MEASURE].astype(np.intp)  # numpy indexes slower by int32
                 part = part[~covered[part]]  # covered rows stay covered: measure only the rest
                 covered[part[row_dist(points.take(part, axis=0), q, metric) <= delta]] = True
             covered[c] = True  # the sweep advances even if rounding ever left c out of its window

@@ -241,18 +241,34 @@ def test_lattice_net_rounding_edges():
 
 @pytest.mark.parametrize("metric, delta", [(E, 0.3), (E, 0.05), (H, 0.8), (H, 0.2)])
 def test_greedy_net_memory_per_row(metric, delta):
-    # the lattice keeps a few n-length arrays, and a coarse net's first window (nearly
-    # the whole cloud) is measured in slices; the finest deltas are left out because
-    # tracemalloc slows their many small allocations
+    # the lattice sweeps with 17 bytes a row (float64 keys, int32 columns and order, bool
+    # coverage), and a coarse net's first window (nearly the whole cloud) is measured in
+    # slices; the finest deltas are left out because tracemalloc slows their many small
+    # allocations, and an untraced net first keeps one-time allocations out of the peak
     cloud = product_cloud(hsquare_cloud(6), cantor_cloud(0.5, 5))
     assert len(cloud) == 131072
+    greedy_net(cloud, delta, metric)
     tracemalloc.start()
     try:
         greedy_net(cloud, delta, metric)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * len(cloud), peak / len(cloud)
+    assert peak <= 45 * len(cloud), peak / len(cloud)
+
+
+def test_greedy_net_refuses_rows_past_int32():
+    # the lattice indexes rows in int32; a zero-stride view stands in for the cloud, so
+    # nothing is allocated, and the limit is checked before the coordinates are scanned
+    class Huge:
+        points = np.broadcast_to(np.zeros(3), (2**31, 3))
+
+        def __len__(self):
+            return len(self.points)
+
+    for metric in (E, H):
+        with pytest.raises(ResourceLimitError, match="2147483648 points"):
+            greedy_net(Huge(), 0.1, metric)
 
 
 def test_greedy_net_rejects_bad_coordinates():
