@@ -19,6 +19,14 @@ from heislab.hgeom import Point
 from heislab.probes import ex1_probe, ex2_probe, panel_from_rects, thm1_scan, thm2_scan
 
 
+def resolved(res) -> str:
+    """How many of the scan's radii are resolved: at every base point the
+    entry's error band over the denominator is below its ratio."""
+    by_radius = list(zip(*(ps.series for ps in res.points)))
+    count = sum(all(e.band < e.ratio for e in entries) for entries in by_radius)
+    return f"; resolved radii {count}/{len(by_radius)}"
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--level", type=int, default=4, help="alternating-family level")
@@ -32,7 +40,7 @@ def main():
     res = ex1_probe(args.level, cloud=cloud)
     print(f"ex1 fixed-fraction rho=r/8: min ratio {res.summary['min_ratio']:.4f} "
           f"(target >= 1/8), max {res.summary['max_ratio']:.4f}, "
-          f"error bound {res.error_bound:.2e}")
+          f"error bound {res.error_bound:.2e}{resolved(res)}")
 
     h2, hL = h_by[2], h_by[args.level]
     wide = panel_from_rects(family, 20)
@@ -40,17 +48,17 @@ def main():
     mins = [min(e.ratio for e in ps.series) for ps in res.points]
     frac = sum(1 for m in mins if m <= 0.05) / len(mins)
     print(f"ex1 shrinking rho=r^1.5:   min ratio <= 0.05 at {frac:.0%} of points "
-          f"(liminf contrast)")
+          f"(liminf contrast){resolved(res)}")
 
     # level 10, or the first level with a probing window when M puts it higher
     res = ex2_probe(args.M, max(10, Example2(args.M).switch_level() + 2), base_count=12)
     print(f"ex2 quadratic rho=Mr^2:    min ratio {res.summary['min_ratio']:.4f} "
-          f"(target >= 1/16) over windows k={res.extra['window_levels']}")
+          f"(target >= 1/16) over windows k={res.extra['window_levels']}{resolved(res)}")
 
     tseg = segment_cloud("t", -1.0, 1.0, 16384)
     res = thm2_scan(tseg, [Point(0, 0, 0)], 0.25, np.geomspace(0.2, 0.02, 9), s=1.0)
     print(f"tseg linear rho=r/4:       max ratio {res.summary['max_ratio']:.4f} "
-          f"(oracle 3/4, bound > 1/4)")
+          f"(oracle 3/4, bound > 1/4){resolved(res)}")
 
 
 if __name__ == "__main__":

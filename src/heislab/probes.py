@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -145,12 +146,12 @@ def _checked_radii(radii) -> list[float]:
 
 
 def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[float],
-                 rhos: list[float], e_ball: float, e_plane: float) -> list[tuple]:
+                 rhos: list[float], e_ball: float, e_plane: float, count: bool) -> list[tuple]:
     """Per radius, the rows of the ball near the plane through p, of the ball
     clear of it, and of the sphere and slab error bands (empty when both errors
-    are 0): four lists with one (block start, uint16 row offsets) pair per
-    block whose selection holds rows, in cloud order, so a selected row costs 2
-    bytes. Reads the blocks of _BLOCK <= 2^16 rows that begin at `starts`."""
+    are 0): four lists, in cloud order, of each block's row count if `count`,
+    else of a (block start, uint16 row offsets) pair per block whose selection
+    holds rows (2 bytes a row). Reads the _BLOCK <= 2^16-row blocks at `starts`."""
     banded = e_ball > 0.0 or e_plane > 0.0
     picks = [([], [], [], []) for _ in radii]
     for start in starts:
@@ -159,14 +160,16 @@ def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[f
         rows = np.asfortranarray(points[start:start + _BLOCK])
         dE = dist_many(rows, p, MetricKind.EUCLIDEAN)
         pd = plane_dist_many(rows, p)
-        idx = np.arange(len(rows), dtype=np.uint16)
+        idx = None if count else np.arange(len(rows), dtype=np.uint16)
         for r, rho, (near, clear, sphere, slab) in zip(radii, rhos, picks):
             # both halves: the two float expressions disagree at the edge
             keep = (dE - r <= e_ball) | (dE <= r + e_ball)
             if not keep.all():
-                dE, pd, idx = dE[keep], pd[keep], idx[keep]
-                if not idx.size:
+                dE, pd = dE[keep], pd[keep]
+                if not dE.size:
                     break
+                if not count:
+                    idx = idx[keep]
             ball, close = dE <= r, pd <= rho
             masks = [ball & close, ball & ~close]
             if banded:
@@ -175,7 +178,9 @@ def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[f
                 masks += [(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane),
                           (np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)]
             for parts, mask in zip((near, clear, sphere, slab), masks):
-                if (offsets := idx[mask]).size:
+                if count:
+                    parts.append(np.count_nonzero(mask))
+                elif (offsets := idx[mask]).size:
                     parts.append((start, offsets))
     return picks
 
@@ -206,8 +211,11 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     each sum, gathered block after block, are the weights that a mask on the
     whole cloud selects, in the same cloud order. So every sum adds the same
     numbers in the same order as on the whole cloud, and the results are
-    bit-identical. An entry whose ratio or band over the denominator is not
-    finite (a subnormal radius) is refused.
+    bit-identical. When every weight is one power of two w, a mask records
+    only its row count k and its mass is k * w: every partial sum of k copies
+    of w is exact (k < 2^53), so that too is the whole-cloud sum. An entry
+    whose ratio or band over the denominator is not finite (a subnormal
+    radius) is refused.
     """
     radii = _checked_radii(radii)
     denoms = [_denominator(convention, r, s) for r in radii]
@@ -216,6 +224,9 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         raise ValueError("the density scan needs at least one base point")
     e_ball = cloud.placement_error
     points, weights = cloud.points, cloud.weights
+    w = float(weights[0]) if len(weights) else 0.0
+    count = math.frexp(w)[0] == 0.5 and bool((weights == w).all())
+    mass = (lambda parts: float(sum(parts)) * w) if count else partial(_mass, weights)
     starts = np.arange(0, len(cloud), _BLOCK)
     box_lo, box_hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
     # A block's box distance takes dist_many's float steps on gaps no larger than
@@ -233,17 +244,18 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
         e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y)
-        picks = _block_picks(points, starts[box <= reach], p, radii, rhos, e_ball, e_plane)
+        picks = _block_picks(points, starts[box <= reach], p, radii, rhos, e_ball, e_plane,
+                             count)
         series = []
         for r, denom in zip(radii[::-1], denoms[::-1]):
             # smallest radius first, each radius's lists dropped once summed, so
             # the largest gather runs with little else alive
             near, clear, sphere, slab = picks.pop()
-            outside = _mass(weights, clear)
+            outside = mass(clear)
             # mass whose classification flip could change the outside term
-            band = _mass(weights, sphere)
-            band += _mass(weights, slab)
-            entry = SeriesEntry(r=r, inside=_mass(weights, near), outside=outside,
+            band = mass(sphere)
+            band += mass(slab)
+            entry = SeriesEntry(r=r, inside=mass(near), outside=outside,
                                 ratio=outside / denom, band=band / denom)
             if not (math.isfinite(entry.ratio) and math.isfinite(entry.band)):
                 raise ValueError(f"the density ratio or its error band at r={r} is not finite "

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from heislab import dimension, probes
 from heislab.constructions import (
@@ -396,6 +399,16 @@ def _scan_ref(cloud, base_points, radii, rho_rule, s, convention, probe, extra=N
                        extra=extra or {})
 
 
+def _reweighted(cloud, weights):
+    """The cloud with its rows and placement errors and other weights."""
+    return WeightedCloud(cloud.points, weights, float(weights.sum()), cloud.source,
+                         cloud.err_xy, cloud.err_t)
+
+
+def _no_gather(weights, parts):
+    raise AssertionError("a cloud of one power-of-two weight gathered its weights")
+
+
 def _assert_scan_matches_ref(*args):
     res = scan_density(*args)
     got = probe_result_to_dict(res)
@@ -415,15 +428,28 @@ def oracle_clouds(tmp_path_factory):
     sidecar_path(path).unlink()
     bare = load_cloud(path)
     assert ex1.placement_error > 0 and fs.placement_error > 0 and bare.placement_error == 0
-    return {"ex1": ex1, "fs": fs, "bare": bare}
+    clouds = {"ex1": ex1, "fs": fs, "bare": bare}
+    # every construction weighs its rows uniformly, by one power of two
+    assert all(math.frexp(c.weights[0])[0] == 0.5 and (c.weights == c.weights[0]).all()
+               for c in clouds.values())
+    return clouds
 
 
-SCAN_RULES = pytest.mark.parametrize("rule, s, convention", [
+@pytest.fixture(scope="module")
+def distinct_clouds(oracle_clouds):
+    """The oracle clouds with distinct weights, so that their scans gather them."""
+    return {name: _reweighted(c, np.linspace(1.0, 3.0, len(c)) ** 2)
+            for name, c in oracle_clouds.items()}
+
+
+SCAN_CASES = [
     (RhoRule("power_law", 0.5), 1.0, "r^s"),
     (RhoRule("linear", 0.25), 1.5, "(2r)^s"),
     (RhoRule("quadratic", 2.0), 1.0, "2r"),
     (RhoRule("fixed", 0.125), 2.5, "r^s"),
-], ids=["power_law", "linear", "quadratic", "fixed"])
+]
+SCAN_RULES = pytest.mark.parametrize("rule, s, convention", SCAN_CASES,
+                                     ids=["power_law", "linear", "quadratic", "fixed"])
 
 
 @pytest.mark.parametrize("name", ["ex1", "fs", "bare"])
@@ -474,8 +500,9 @@ def test_block_scan_matches_unpruned_reference(monkeypatch, oracle_clouds, block
 
 @pytest.mark.parametrize("name", ["ex1", "fs", "bare"])
 @SCAN_RULES
-def test_no_empty_part_reaches_mass(monkeypatch, oracle_clouds, name, rule, s, convention):
-    # a block records nothing for a selection with no rows
+def test_no_empty_part_reaches_mass(monkeypatch, distinct_clouds, name, rule, s, convention):
+    # a block records nothing for a selection with no rows; distinct weights,
+    # since a cloud of one power-of-two weight counts rows and gathers none
     sizes = []
     mass = probes._mass
 
@@ -485,8 +512,81 @@ def test_no_empty_part_reaches_mass(monkeypatch, oracle_clouds, name, rule, s, c
 
     monkeypatch.setattr(probes, "_mass", spy)
     monkeypatch.setattr(probes, "_BLOCK", 7)
-    test_pruned_scan_matches_unpruned_reference(oracle_clouds, name, rule, s, convention)
+    test_pruned_scan_matches_unpruned_reference(distinct_clouds, name, rule, s, convention)
     assert sizes and min(sizes) > 0
+
+
+# weights of the oracle clouds' rows: only "uniform" keeps one power of two
+WEIGHT_CASES = {
+    "uniform": lambda w: w,
+    "distinct": lambda w: np.linspace(1.0, 3.0, w.size) ** 2,
+    "third": lambda w: np.full(w.size, 1.0 / 3.0),
+    "one-changed": lambda w: np.where(np.arange(w.size) == w.size // 2, 2.0 * w, w),
+    "zero": np.zeros_like,
+}
+
+
+@pytest.mark.parametrize("case", list(WEIGHT_CASES))
+@pytest.mark.parametrize("name", ["ex1", "fs", "bare"])
+def test_scan_gathers_unless_every_weight_is_one_power_of_two(monkeypatch, oracle_clouds, name,
+                                                              case):
+    cloud = oracle_clouds[name]
+    cloud = _reweighted(cloud, WEIGHT_CASES[case](cloud.weights))
+    calls = []
+    mass = probes._mass
+
+    def spy(weights, parts):
+        calls.append(len(parts))
+        return mass(weights, parts)
+
+    monkeypatch.setattr(probes, "_mass", spy)
+    monkeypatch.setattr(probes, "_BLOCK", 7)
+    bases = panel_from_cloud(cloud, 5)
+    for rule, s, convention in SCAN_CASES[1::2]:
+        got = _assert_scan_matches_ref(cloud, bases, [1.1, 0.3, 0.12, 0.05, 0.02], rule, s,
+                                       convention, "weights")
+    assert bool(calls) == (case != "uniform")
+    assert any(e["outside"] > 0 for ps in got["points"] for e in ps["series"]) == (case != "zero")
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 40), st.just(3)), elements=st.floats(-1.0, 1.0)),
+       st.integers(-1074, 900), st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5),
+       st.sampled_from(SCAN_CASES), st.sampled_from([1, 7, 64]), st.floats(0.0, 0.05),
+       st.floats(0.0, 0.05))
+def test_counted_scan_matches_unpruned_reference(points, k, radii, case, block, err_xy, err_t):
+    weights = np.full(len(points), 2.0**k)
+    cloud = WeightedCloud(points, weights, float(weights.sum()), {"kind": "random"}, err_xy, err_t)
+    bases = [O, Point.from_array(points[0]), Point.from_array(points[-1])]
+    # a radius at a row's own distance puts that row on the sphere
+    if (far := float(dist_many(points, O, E).max())) > 0:
+        radii = radii + [far]
+    with mock.patch.object(probes, "_BLOCK", block), mock.patch.object(probes, "_mass", _no_gather):
+        _assert_scan_matches_ref(cloud, bases, radii, *case, "counted")
+
+
+def test_scan_of_an_empty_cloud_reads_zero():
+    # no row, so no weight to test for one power of two
+    cloud = WeightedCloud(np.zeros((0, 3)), np.zeros(0), 0.0, {"kind": "empty"})
+    got = _assert_scan_matches_ref(cloud, [O], [0.5, 0.1], RhoRule("linear", 0.25), 1.0, "2r",
+                                   "empty")
+    assert got["summary"]["max_ratio"] == 0.0
+
+
+def test_counted_scan_at_the_real_block_size(monkeypatch):
+    # a uniform 2^17-row cloud, with balls across its three 2^15-row block edges
+    seg = segment_cloud("t", -1.0, 1.0, 2**17)
+    assert (seg.weights == 2.0**-16).all()
+    monkeypatch.setattr(probes, "_mass", _no_gather)
+    t = seg.points[:, 2]
+    edge = probes._BLOCK
+    assert len(seg) == 4 * edge
+    bases = [Point(0.0, 0.0, 0.5 * (t[k * edge - 1] + t[k * edge])) for k in (1, 2, 3)]
+    for rule, s, convention in ((RhoRule("linear", 0.25), 1.0, "(2r)^s"),
+                                (RhoRule("fixed", 0.125), 1.0, "r^s")):
+        got = _assert_scan_matches_ref(seg, bases + [Point(0.001, 0.0, t[-100])],
+                                       [0.02, 0.005, 1e-4], rule, s, convention, "counted")
+        assert all(e["outside"] > 0 for ps in got["points"] for e in ps["series"][:2])
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -527,9 +627,7 @@ def test_block_scan_with_a_short_last_block(monkeypatch, tseg):
     monkeypatch.setattr(probes, "_BLOCK", 64)
     assert len(tseg) % 64 == 32
     # distinct weights, so that a row index off by a block reads another weight
-    weights = np.linspace(1.0, 3.0, len(tseg)) ** 2
-    cloud = WeightedCloud(tseg.points, weights, float(weights.sum()), tseg.source,
-                          tseg.err_xy, tseg.err_t)
+    cloud = _reweighted(tseg, np.linspace(1.0, 3.0, len(tseg)) ** 2)
     bases = [O, Point(0.0, 0.0, 1.0), Point(0.01, 0.0, -0.5)]
     for rule, s, convention in ((RhoRule("linear", 0.25), 1.0, "(2r)^s"),
                                 (RhoRule("fixed", 0.125), 1.0, "r^s")):
@@ -544,9 +642,7 @@ def test_block_offsets_at_the_real_block_size():
     # offset read against the wrong block start reads another weight
     assert probes._BLOCK <= 2**16
     seg = segment_cloud("t", -1.0, 1.0, 70_000)
-    weights = np.linspace(1.0, 3.0, len(seg)) ** 2
-    cloud = WeightedCloud(seg.points, weights, float(weights.sum()), seg.source, seg.err_xy,
-                          seg.err_t)
+    cloud = _reweighted(seg, np.linspace(1.0, 3.0, len(seg)) ** 2)
     t = cloud.points[:, 2]
     edge = probes._BLOCK
     assert 2 * edge < len(cloud) < 3 * edge
@@ -560,13 +656,23 @@ def test_block_offsets_at_the_real_block_size():
         assert all(e["outside"] > 0 for ps in got["points"] for e in ps["series"][:2])
 
 
-@pytest.mark.parametrize("radii, per_row", [(None, 48), (list(np.geomspace(1.2, 0.012, 17)), 32)],
-                         ids=["default", "criterion8"])
-def test_ex3_scan_memory_per_row(radii, per_row):
-    # the masks keep 2-byte block offsets, and each radius's are dropped once summed
+@pytest.mark.parametrize("radii, weights, per_row", [
+    (None, "uniform", 20),
+    (list(np.geomspace(1.2, 0.012, 17)), "uniform", 20),
+    (None, "distinct", 48),
+    (list(np.geomspace(1.2, 0.012, 17)), "distinct", 32),
+], ids=["default", "criterion8", "default-distinct", "criterion8-distinct"])
+def test_ex3_scan_memory_per_row(radii, weights, per_row):
+    # a cloud of one power-of-two weight keeps only each selection's row count;
+    # distinct weights keep a 2-byte block offset per selected row, and each
+    # radius's offsets are dropped once summed
     cantor = cantor_cloud(0.5, 5)
     fs = product_cloud(hsquare_cloud(6), cantor)
     assert len(fs) == 131072
+    if weights == "distinct":
+        fs = _reweighted(fs, np.linspace(1.0, 3.0, len(fs)) ** 2)
+    # an untraced run first, so that the peak leaves out one-time allocations
+    ex3_probe(0.5, 6, 5, radii, base_count=12, fs_cloud=fs, cantor_cloud_in=cantor)
     tracemalloc.start()
     try:
         res = ex3_probe(0.5, 6, 5, radii, base_count=12, fs_cloud=fs, cantor_cloud_in=cantor)
