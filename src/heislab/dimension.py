@@ -21,7 +21,7 @@ from .constructions import MAX_POINTS, ResourceLimitError, WeightedCloud, json_n
 from .hgeom import MetricKind, beta_minus, beta_plus, dist_pairs, row_dist
 
 _CHUNK = 4096  # covered flags read per step while the cursor seeks the next center
-_MEASURE = 2**15  # candidate rows per distance call: a coarse net's first window is the cloud
+_MEASURE = 2**15  # rows per candidate part and lattice gather: a coarse net's window is the cloud
 _EPS = float(np.finfo(float).eps)
 # one greedy-net sweep at a time: a sweep is tens of thousands of short numpy calls that
 # hold the GIL, so two of them thrash it, while a lattice build (long sorts that release
@@ -100,7 +100,8 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
     x, y, t = points.T
     # per axis: slabs floor(coord / w), ranked so that indices stay small, and the first and
     # last slab within delta of each, from the points' extents so that rounding hides none;
-    # n-length temporaries are built in place and dropped after their last use
+    # n-length temporaries are built in place and dropped after their last use, and both
+    # axes' slabs are found before either axis ranks its points
     axes, bound = [], 0.0
     for coord in (x, y):
         srt = np.sort(coord)
@@ -114,17 +115,20 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
         bound = max(bound, -srt[0], srt[-1])
         del srt
         reach = delta * (1.0 + 1e-9) + 8.0 * _EPS * bound
-        r = lo.searchsorted(coord, "right").astype(np.int32)
-        r -= 1
-        axes.append((r, lo, hi.searchsorted(lo - reach), lo.searchsorted(hi + reach, "right") - 1))
-    (rx, X, xfirst, xlast), (ry, Y, yfirst, ylast) = axes
-    del axes, r
+        axes.append((lo, hi.searchsorted(lo - reach), lo.searchsorted(hi + reach, "right") - 1))
+    (X, xfirst, xlast), (Y, yfirst, ylast) = axes
+    del axes
+    rx = X.searchsorted(x, "right").astype(np.int32)
+    rx -= 1
+    ry = Y.searchsorted(y, "right").astype(np.int32)
+    ry -= 1
     code = np.multiply(rx, Y.size, dtype=np.int64)  # |X| |Y| may pass 2**31
     del rx
     code += ry
     del ry
-    codes = np.unique(code)
-    col = codes.searchsorted(code).astype(np.int32)  # the dense rank of each point's column
+    codes, rows = np.unique(code, return_counts=True)  # rows: each column's row count
+    # the dense rank of each point's column, in the smallest unsigned type that holds it
+    col = codes.searchsorted(code).astype(np.min_scalar_type(codes.size - 1))
     del code
     # neighbour table in CSR form: the columns within reach of each column
     cx, cy = np.divmod(codes, Y.size)
@@ -137,13 +141,13 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
     nbrs, ptr = pos[hit], np.r_[0, hit.sum(1).cumsum()]
     del want, pos, hit
     X, Y = X[cx], Y[cy]  # each column's corner
+    # per-row gathers by column run in blocks, so that none makes an n-length float array
+    blocks = [slice(a, a + _MEASURE) for a in range(0, n, _MEASURE)]
     if gauge:  # s = t - 2(X y - x Y), in that order
-        s = X[col]
-        s *= y
-        xY = Y[col]
-        xY *= x
-        s -= xY
-        del xY
+        s = np.empty(n)
+        for sl in blocks:
+            np.multiply(X[col[sl]], y[sl], out=s[sl])
+            s[sl] -= Y[col[sl]] * x[sl]
         s *= 2.0
         np.subtract(t, s, out=s)
         half, slack = delta * delta, 4.0 * (delta + w) * w
@@ -156,9 +160,17 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
     base = np.arange(codes.size) * (2.0 * span if span > 0.0 else 1.0)
     key = np.subtract(s, smin, out=s if gauge else None)  # s's own buffer, never t's
     del s
-    key += base[col]
+    for sl in blocks:
+        key[sl] += base[col[sl]]
+    # each column's keys lie in [base, base + span], below the next column's, so the
+    # sorted keys run column by column: col is dropped across the sort and rebuilt from
+    # the row counts
+    narrow = col.dtype
+    del col
     order = key.argsort().astype(np.int32)
     key.sort()
+    col = np.empty(n, dtype=narrow)
+    col[order] = np.repeat(np.arange(codes.size, dtype=narrow), rows)
     covered, centers, c = np.zeros(n, dtype=bool), [], 0
     with _SWEEP:
         while c < n:
@@ -167,7 +179,8 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
                 continue
             centers.append(c)
             q = points[c]
-            nb = nbrs[ptr[col[c]]:ptr[col[c] + 1]]
+            j = int(col[c])  # as a numpy uint8 or uint16, j + 1 could wrap
+            nb = nbrs[ptr[j]:ptr[j + 1]]
             off = q[2] - smin
             if gauge:
                 # from corner (X', Y') q's key is off + 2(qy u - qx v), (u, v) = q - (X', Y');
@@ -182,13 +195,32 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
             b = base[nb]
             first = key.searchsorted(b + lo).tolist()
             last = key.searchsorted(b + hi, "right").tolist()
-            idx = np.concatenate([order[a:e] for a, e in zip(first, last)])
-            for start in range(0, idx.size, _MEASURE):
-                part = idx[start:start + _MEASURE].astype(np.intp)  # numpy indexes slower by int32
+            if sum(last) - sum(first) <= _MEASURE:  # every fine-scale center: one part
+                parts = [np.concatenate([order[a:e] for a, e in zip(first, last)], dtype=np.intp)]
+            else:  # a coarse net's first window is nearly the cloud
+                parts = _parts(order, first, last)
+            for part in parts:
                 part = part[~covered[part]]  # covered rows stay covered: measure only the rest
                 covered[part[row_dist(points.take(part, axis=0), q, metric) <= delta]] = True
             covered[c] = True  # the sweep advances even if rounding ever left c out of its window
     return NetCount(delta=delta, count=len(centers)), np.asarray(centers, dtype=np.int64)
+
+
+def _parts(order, first, last):
+    """The rows order[a:e] of the windows (a, e) in first and last, gathered
+    in parts of at most _MEASURE rows, as intp (numpy indexes slower by int32)."""
+    held, size = [], 0
+    for a, e in zip(first, last):
+        while a < e:
+            take = min(e - a, _MEASURE - size)
+            held.append(order[a:a + take])
+            size += take
+            a += take
+            if size == _MEASURE:
+                yield np.concatenate(held, dtype=np.intp)
+                held, size = [], 0
+    if held:
+        yield np.concatenate(held, dtype=np.intp)
 
 
 def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind) -> list[NetCount]:

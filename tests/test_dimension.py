@@ -139,6 +139,49 @@ def test_lattice_net_matches_brute_force_oracle():
     _assert_oracle_centers(product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 3)), (0.6, 0.15))
 
 
+def _part_layout(first, last):
+    """For windows (a, e) gathered in order into parts of _MEASURE rows: whether a
+    part boundary falls inside a window, and whether a part holds several windows."""
+    inside, windows, size = False, {}, 0
+    for a, e in zip(first, last):
+        if e > a:
+            p, q = size // dimension._MEASURE, (size + e - a - 1) // dimension._MEASURE
+            inside |= p != q
+            for part in range(p, q + 1):
+                windows[part] = windows.get(part, 0) + 1
+            size += e - a
+    return inside, max(windows.values(), default=0) > 1
+
+
+def test_lattice_net_matches_the_oracle_across_measured_parts(monkeypatch):
+    # above 2**15 rows at coarse deltas a center's windows fill several parts: the oracle
+    # checks centers whose parts split a window and join windows
+    layouts, parts = [], dimension._parts
+    monkeypatch.setattr(dimension, "_parts", lambda order, first, last: (
+        layouts.append(_part_layout(first, last)) or parts(order, first, last)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(30)))
+    cube = _cloud_from_points(rng.uniform(-0.5, 0.5, size=(40_000, 3)))
+    segment = segment_cloud("t", 0.0, 1.0, 40_000)
+    for cloud, metric, delta in ((cube, E, 0.5), (cube, H, 1.0), (segment, E, 0.5),
+                                 (segment, H, 1.0)):
+        layouts.clear()
+        _, centers = greedy_net(cloud, delta, metric)
+        assert np.array_equal(centers, _brute_net(cloud.points, delta, metric)), (metric, delta)
+        assert any(inside for inside, _ in layouts), (cloud.source, metric, delta)
+        if cloud is cube:
+            assert any(joined for _, joined in layouts), (metric, delta)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 64])
+def test_lattice_net_matches_the_oracle_with_tiny_parts(monkeypatch, rows):
+    # parts and the lattice's gather blocks of a few rows put their boundaries everywhere
+    monkeypatch.setattr(dimension, "_MEASURE", rows)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(31)))
+    _assert_oracle_centers(_cloud_from_points(rng.uniform(-1.0, 1.0, size=(300, 3))),
+                           (1.0, 0.5, 0.21))
+    _assert_oracle_centers(product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 3)), (0.6, 0.15))
+
+
 def _ladder_clouds():
     """The product cloud of the oracle test and its dyadic xseg and cantor
     clouds, each with a ladder of deltas."""
@@ -239,22 +282,38 @@ def test_lattice_net_rounding_edges():
     assert greedy_net(cloud, 1e-7, E)[0].count == 2
 
 
-@pytest.mark.parametrize("metric, delta", [(E, 0.3), (E, 0.05), (H, 0.8), (H, 0.2)])
-def test_greedy_net_memory_per_row(metric, delta):
-    # the lattice sweeps with 17 bytes a row (float64 keys, int32 columns and order, bool
-    # coverage), and a coarse net's first window (nearly the whole cloud) is measured in
-    # slices; the finest deltas are left out because tracemalloc slows their many small
-    # allocations, and an untraced net first keeps one-time allocations out of the peak
-    cloud = product_cloud(hsquare_cloud(6), cantor_cloud(0.5, 5))
-    assert len(cloud) == 131072
+def _traced_net_peak(cloud, delta, metric):
+    """Traced peak bytes of one net; an untraced net first keeps one-time allocations out."""
     greedy_net(cloud, delta, metric)
     tracemalloc.start()
     try:
         greedy_net(cloud, delta, metric)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("metric, delta", [(E, 0.3), (E, 0.05), (H, 0.8), (H, 0.2)])
+def test_greedy_net_memory_per_row(metric, delta):
+    # the lattice sweeps with 15 bytes a row (float64 keys, int32 order, bool coverage and
+    # columns in the smallest unsigned type, 1 or 2 bytes here), and a coarse net's windows
+    # (nearly the whole cloud) are gathered and measured in parts of 2**15 rows; the finest
+    # deltas are left out because tracemalloc slows their many small allocations
+    cloud = product_cloud(hsquare_cloud(6), cantor_cloud(0.5, 5))
+    assert len(cloud) == 131072
+    peak = _traced_net_peak(cloud, delta, metric)
     assert peak <= 45 * len(cloud), peak / len(cloud)
+
+
+def test_greedy_net_memory_per_row_on_the_nets_cloud():
+    # on the 524 288-row nets cloud the fixed 2**15-row parts are diluted, so the peak is
+    # the lattice's key sort, about 20 bytes a row (the float64 keys and argsort's int64
+    # order with its int32 copy); every column rank and window is gathered without an
+    # n-length temporary, even a coarse gauge net's first window, which spans the cloud
+    cloud = product_cloud(hsquare_cloud(7), cantor_cloud(0.5, 5))
+    assert len(cloud) == 524288
+    peak = _traced_net_peak(cloud, 0.8, H)
+    assert peak <= 23 * len(cloud), peak / len(cloud)
 
 
 def test_greedy_net_refuses_rows_past_int32():

@@ -58,3 +58,21 @@ def test_bench_writes_no_record_of_a_wrong_output(tmp_path, monkeypatch, correct
             bench.main()
         assert "density.trace1" in str(exc.value.code)
         assert not any(tmp_path.iterdir())
+
+
+def test_bench_pairs_smoke():
+    # one pair of zero-second density runs: HEAD exported against the working tree
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "HEAD",
+                           "--workload", "density", "--pairs", "1", "--seconds", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:3] for line in lines[:2]] == [["pair", "1", "rev"], ["pair", "1", "tree"]]
+    assert all("correct=True" in line for line in lines[:2])
+    assert lines[2] == "density seed 0: HEAD against the working tree, 1 pairs of 0 s runs"
+    assert lines[3].split() == ["metric", "rev", "median", "tree", "median", "rev", "q1", "rev",
+                                "q3", "wins"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
+    assert set(rows) == {"wall_s", "ops_per_s", "cpu_s", "setup_s", "peak_rss_mb", "ok_frac"}
+    assert all(len(row) == 5 and row[-1] in ("0/1", "1/1") for row in rows.values())
+    assert rows["ok_frac"][:2] == ["1", "1"]
