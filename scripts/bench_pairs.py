@@ -34,8 +34,10 @@ def export(rev: str, dest: Path) -> None:
     """Write REV's committed files under dest."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                          capture_output=True, check=True).stdout
+    # the "data" filter exists from Python 3.10.12 and 3.11.4 on
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+        archive.extractall(dest, **safe)
 
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -66,8 +68,9 @@ def summary(metrics: list[dict], runs: list[tuple[dict, dict]]) -> list[str]:
         rev, tree = [p[0] for p in pairs], [p[1] for p in pairs]
         wins = sum(t < r if lower else t > r for r, t in pairs)
         q1, q3 = quartiles(rev)
-        lines.append(f"{name:<12} {statistics.median(rev):>12.6g} {statistics.median(tree):>12.6g} "
-                     f"{q1:>12.6g} {q3:>12.6g}  {wins}/{len(pairs)}")
+        medians = statistics.median(rev), statistics.median(tree)
+        lines.append(f"{name:<12} {medians[0]:>12.6g} {medians[1]:>12.6g} {q1:>12.6g} "
+                     f"{q3:>12.6g}  {wins}/{len(pairs)}")
     return lines
 
 

@@ -295,7 +295,7 @@ def _traced_net_peak(cloud, delta, metric):
 
 @pytest.mark.parametrize("metric, delta", [(E, 0.3), (E, 0.05), (H, 0.8), (H, 0.2)])
 def test_greedy_net_memory_per_row(metric, delta):
-    # the lattice sweeps with 15 bytes a row (float64 keys, int32 order, bool coverage and
+    # the lattice sweeps with 14-15 bytes a row (float64 keys, int32 order, bool coverage and
     # columns in the smallest unsigned type, 1 or 2 bytes here), and a coarse net's windows
     # (nearly the whole cloud) are gathered and measured in parts of 2**15 rows; the finest
     # deltas are left out because tracemalloc slows their many small allocations
