@@ -77,44 +77,33 @@ def worker_count() -> int:
     return int(env) if env else os.cpu_count() or 1
 
 
-def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[NetCount, np.ndarray]:
-    """Greedy net of the cloud support at scale delta: returns the count and
-    the center indices. In stored order, the first uncovered point becomes a
-    center and covers every point within delta.
-
-    Candidates come from (x, y) columns of width w = delta (Euclidean) or
-    delta/2 (gauge) sorted by s = t, or for the gauge metric s = t - 2(X y - x Y),
-    t seen from the column's corner (X, Y). By left invariance a center's
-    candidates in a neighbouring column are one s-interval of half-width delta,
-    or at most delta^2 + 4(delta + w)w however wide the cloud; padding makes
-    rounding only add candidates, and exact distance decides coverage."""
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be positive, got {delta}")
-    points, n = cloud.points, len(cloud)
-    if n > np.iinfo(np.int32).max:  # every n-length index array below is int32
-        raise ResourceLimitError(f"{n} points exceed the 2**31 - 1 rows a net lattice indexes")
-    if n == 0 or not np.isfinite(points).all():
-        raise ValueError("the cloud must be non-empty with finite coordinates")
-    gauge = metric is MetricKind.HEISENBERG
+def _lattice(points: np.ndarray, delta: float, gauge: bool):
+    """The lattice a greedy net sweeps: (x, y) columns of width w = delta (Euclidean) or
+    delta/2 (gauge), their rows sorted by s = t or, for the gauge, s = t - 2(X y - x Y), t
+    seen from the column's corner (X, Y). Returns the sorted keys s - smin + base[col],
+    which run column by column, the rows in key order (int32), each row's column, the CSR
+    table nbrs[ptr[j]:ptr[j + 1]] of the columns within reach of column j, each column's
+    key base and corner X, Y, smin, the keys' span and the padded window half-width."""
+    n = len(points)
     w = delta / 2.0 if gauge else delta
     x, y, t = points.T
+    bound = max(-x.min(), x.max(), -y.min(), y.max())
+    if bound / w > 2.0**52:
+        raise ResourceLimitError(f"lattice column index beyond 2**52 at delta={delta}")
     # per axis: slabs floor(coord / w), ranked so that indices stay small, and the first and
     # last slab within delta of each, from the points' extents so that rounding hides none;
     # n-length temporaries are built in place and dropped after their last use, and both
     # axes' slabs are found before either axis ranks its points
-    axes, bound = [], 0.0
+    reach = delta * (1.0 + 1e-9) + 8.0 * _EPS * bound
+    axes = []
     for coord in (x, y):
         srt = np.sort(coord)
-        if max(-srt[0], srt[-1]) / w > 2.0**52:
-            raise ResourceLimitError(f"lattice column index beyond 2**52 at delta={delta}")
         f = srt / w
         np.floor(f, out=f)
         new = np.flatnonzero(f[1:] != f[:-1])
         del f
         lo, hi = srt[np.r_[0, new + 1]], srt[np.r_[new, n - 1]]
-        bound = max(bound, -srt[0], srt[-1])
         del srt
-        reach = delta * (1.0 + 1e-9) + 8.0 * _EPS * bound
         axes.append((lo, hi.searchsorted(lo - reach), lo.searchsorted(hi + reach, "right") - 1))
     (X, xfirst, xlast), (Y, yfirst, ylast) = axes
     del axes
@@ -150,12 +139,14 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
             s[sl] -= Y[col[sl]] * x[sl]
         s *= 2.0
         np.subtract(t, s, out=s)
-        half, slack = delta * delta, 4.0 * (delta + w) * w
+        half = delta * delta
     else:
-        s, half, slack = t, delta, 0.0
-    # s, window centers and distances round by a few ulps of this scale
+        s, half = t, delta
+    # the sweep's per-column window terms bound a column's keys exactly (see greedy_net),
+    # so only rounding needs a pad: s, window centers and distances round by a few ulps of
+    # this scale
     scale = max(-t.min(), t.max()) + (4.0 * bound * (bound + w) if gauge else 0.0)
-    half += 1e-9 * (half + slack) + 64.0 * _EPS * scale
+    half += 1e-9 * half + 64.0 * _EPS * scale
     smin, span = s.min(), s.max() - s.min()
     base = np.arange(codes.size) * (2.0 * span if span > 0.0 else 1.0)
     key = np.subtract(s, smin, out=s if gauge else None)  # s's own buffer, never t's
@@ -171,6 +162,29 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
     key.sort()
     col = np.empty(n, dtype=narrow)
     col[order] = np.repeat(np.arange(codes.size, dtype=narrow), rows)
+    return key, order, col, nbrs, ptr, base, X, Y, smin, span, half
+
+
+def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[NetCount, np.ndarray]:
+    """Greedy net of the cloud support at scale delta: returns the count and
+    the center indices. In stored order, the first uncovered point becomes a
+    center and covers every point within delta.
+
+    A center q's candidates in a neighbouring column of _lattice are one key interval
+    (left invariance): |s - s_q| <= delta, or for the gauge q's key from that corner
+    +- delta^2, widened below by 2w(u.clip(max=0) - v.clip(min=0)) and above by its mirror,
+    (u, v) = q - (X, Y), which bound the twist 2(bu - av) over (a, b) in [0, w]^2 exactly.
+    Pads of 1e-9 of the half-width and 64 ulps of the key scale make rounding only add
+    candidates, and exact distance decides coverage."""
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive, got {delta}")
+    points, n = cloud.points, len(cloud)
+    if n > np.iinfo(np.int32).max:  # every n-length index array of the lattice is int32
+        raise ResourceLimitError(f"{n} points exceed the 2**31 - 1 rows a net lattice indexes")
+    if n == 0 or not np.isfinite(points).all():
+        raise ValueError("the cloud must be non-empty with finite coordinates")
+    gauge = metric is MetricKind.HEISENBERG
+    key, order, col, nbrs, ptr, base, X, Y, smin, span, half = _lattice(points, delta, gauge)
     covered, centers, c = np.zeros(n, dtype=bool), [], 0
     with _SWEEP:
         while c < n:
@@ -183,13 +197,12 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
             nb = nbrs[ptr[j]:ptr[j + 1]]
             off = q[2] - smin
             if gauge:
-                # from corner (X', Y') q's key is off + 2(qy u - qx v), (u, v) = q - (X', Y');
+                # q's key from corner (X', Y') is off + 2(qy u - qx v), (u, v) = q - (X', Y');
                 # a point p's adds tw + 2(b u - a v), |tw| <= delta^2, (a, b) = p - (X', Y')
-                # in [0, w]^2
                 u, v = q[0] - X[nb], q[1] - Y[nb]
                 off = off + 2.0 * (q[1] * u - q[0] * v)
-                lo = (off - half + 2.0 * w * (u.clip(max=0.0) - v.clip(min=0.0))).clip(0.0, span)
-                hi = (off + half + 2.0 * w * (u.clip(min=0.0) - v.clip(max=0.0))).clip(0.0, span)
+                lo = (off - half + delta * (u.clip(max=0.0) - v.clip(min=0.0))).clip(0.0, span)
+                hi = (off + half + delta * (u.clip(min=0.0) - v.clip(max=0.0))).clip(0.0, span)
             else:
                 lo, hi = max(off - half, 0.0), min(off + half, span)
             b = base[nb]
@@ -197,30 +210,15 @@ def greedy_net(cloud: WeightedCloud, delta: float, metric: MetricKind) -> tuple[
             last = key.searchsorted(b + hi, "right").tolist()
             if sum(last) - sum(first) <= _MEASURE:  # every fine-scale center: one part
                 parts = [np.concatenate([order[a:e] for a, e in zip(first, last)], dtype=np.intp)]
-            else:  # a coarse net's first window is nearly the cloud
-                parts = _parts(order, first, last)
+            else:  # a coarse net's windows, nearly the cloud, in slices of at most _MEASURE
+                # rows, as intp (numpy indexes slower by int32)
+                parts = (order[i:min(i + _MEASURE, e)].astype(np.intp)
+                         for a, e in zip(first, last) for i in range(a, e, _MEASURE))
             for part in parts:
                 part = part[~covered[part]]  # covered rows stay covered: measure only the rest
                 covered[part[row_dist(points.take(part, axis=0), q, metric) <= delta]] = True
             covered[c] = True  # the sweep advances even if rounding ever left c out of its window
     return NetCount(delta=delta, count=len(centers)), np.asarray(centers, dtype=np.int64)
-
-
-def _parts(order, first, last):
-    """The rows order[a:e] of the windows (a, e) in first and last, gathered
-    in parts of at most _MEASURE rows, as intp (numpy indexes slower by int32)."""
-    held, size = [], 0
-    for a, e in zip(first, last):
-        while a < e:
-            take = min(e - a, _MEASURE - size)
-            held.append(order[a:a + take])
-            size += take
-            a += take
-            if size == _MEASURE:
-                yield np.concatenate(held, dtype=np.intp)
-                held, size = [], 0
-    if held:
-        yield np.concatenate(held, dtype=np.intp)
 
 
 def net_counts(cloud: WeightedCloud, deltas, metric: MetricKind) -> list[NetCount]:

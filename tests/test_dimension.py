@@ -4,6 +4,7 @@ import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -139,37 +140,15 @@ def test_lattice_net_matches_brute_force_oracle():
     _assert_oracle_centers(product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 3)), (0.6, 0.15))
 
 
-def _part_layout(first, last):
-    """For windows (a, e) gathered in order into parts of _MEASURE rows: whether a
-    part boundary falls inside a window, and whether a part holds several windows."""
-    inside, windows, size = False, {}, 0
-    for a, e in zip(first, last):
-        if e > a:
-            p, q = size // dimension._MEASURE, (size + e - a - 1) // dimension._MEASURE
-            inside |= p != q
-            for part in range(p, q + 1):
-                windows[part] = windows.get(part, 0) + 1
-            size += e - a
-    return inside, max(windows.values(), default=0) > 1
-
-
-def test_lattice_net_matches_the_oracle_across_measured_parts(monkeypatch):
-    # above 2**15 rows at coarse deltas a center's windows fill several parts: the oracle
-    # checks centers whose parts split a window and join windows
-    layouts, parts = [], dimension._parts
-    monkeypatch.setattr(dimension, "_parts", lambda order, first, last: (
-        layouts.append(_part_layout(first, last)) or parts(order, first, last)))
+def test_lattice_net_matches_the_oracle_across_measured_parts():
+    # above 2**15 rows at coarse deltas a center's windows are measured in several slices
     rng = np.random.Generator(np.random.Philox(key=np.uint64(30)))
     cube = _cloud_from_points(rng.uniform(-0.5, 0.5, size=(40_000, 3)))
     segment = segment_cloud("t", 0.0, 1.0, 40_000)
     for cloud, metric, delta in ((cube, E, 0.5), (cube, H, 1.0), (segment, E, 0.5),
                                  (segment, H, 1.0)):
-        layouts.clear()
         _, centers = greedy_net(cloud, delta, metric)
         assert np.array_equal(centers, _brute_net(cloud.points, delta, metric)), (metric, delta)
-        assert any(inside for inside, _ in layouts), (cloud.source, metric, delta)
-        if cloud is cube:
-            assert any(joined for _, joined in layouts), (metric, delta)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 64])
@@ -280,6 +259,84 @@ def test_lattice_net_rounding_edges():
                                 [0, 0, -1e6]])
     assert _brute_net(cloud.points, 1e-7, E).size == 2
     assert greedy_net(cloud, 1e-7, E)[0].count == 2
+
+
+def _check_lattice(points, delta, metric):
+    """_lattice's invariants against brute force: each row in the one column that holds
+    its slabs, keys ascending column by column, and each column's neighbour list the
+    columns whose slabs lie within the lattice's reach on both axes."""
+    gauge = metric is H
+    w = delta / 2.0 if gauge else delta
+    key, order, col, nbrs, ptr, base, X, Y, smin, span, half = dimension._lattice(
+        points, delta, gauge)
+    x, y, t = points.T
+    # every row lies in exactly one column: columns hold distinct slab pairs, and a row's
+    # column holds its own; a corner is its slab's least coordinate
+    slabs = np.floor(points[:, :2] / w)
+    corner = np.floor(np.column_stack([X, Y]) / w)
+    assert len(np.unique(corner, axis=0)) == len(corner)
+    assert np.array_equal(corner[col], slabs)
+    for axis, corners in ((0, X), (1, Y)):
+        least = {}
+        for s, v in zip(slabs[:, axis], points[:, axis]):
+            least[s] = min(least.get(s, v), v)
+        assert [least[s] for s in corner[:, axis]] == corners.tolist()
+    # the sorted keys ascend column by column, each in [base, base + span] of its column
+    assert np.array_equal(np.sort(order), np.arange(len(points)))
+    c = col[order].astype(np.int64)
+    assert (np.diff(key) >= 0).all() and (np.diff(c) >= 0).all()
+    assert np.array_equal(np.unique(c), np.arange(len(corner)))
+    s = t - 2.0 * (X[col] * y - Y[col] * x) if gauge else t
+    assert np.array_equal(key, (s[order] - smin) + base[c])
+    assert ((key >= base[c]) & (key <= base[c] + span)).all()
+    # neighbours: per axis, the slab pairs whose extents lie within reach, in exact arithmetic
+    bound = np.abs(points[:, :2]).max()
+    reach = Fraction(delta * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * bound)
+    near = []
+    for axis in (0, 1):
+        ext = {}
+        for s, v in zip(slabs[:, axis], points[:, axis]):
+            lo, hi = ext.get(s, (v, v))
+            ext[s] = (min(lo, v), max(hi, v))
+        near.append({(a, b) for a, (alo, ahi) in ext.items() for b, (blo, bhi) in ext.items()
+                     if max(Fraction(blo) - Fraction(ahi), Fraction(alo) - Fraction(bhi)) <= reach})
+    for j, (a, b) in enumerate(corner):
+        want = [k for k, (p, q) in enumerate(corner) if (a, p) in near[0] and (b, q) in near[1]]
+        assert nbrs[ptr[j]:ptr[j + 1]].tolist() == want, (metric, delta, j)
+    # which holds every pair of rows within delta, so the sweep's windows can reach it
+    linked = np.zeros((len(corner), len(corner)), dtype=bool)
+    linked[np.repeat(np.arange(len(corner)), np.diff(ptr)), nbrs] = True
+    for i, p in enumerate(points):
+        close = row_dist(points, p, metric) <= delta
+        assert linked[col[i], col[close]].all(), (metric, delta, i)
+
+
+def test_lattice_invariants_on_seeded_clouds():
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(32)))
+    clouds = [rng.uniform(-spread, spread, size=(n, 3)) for n, spread in ((300, 1.0), (200, 5.0))]
+    clouds += [product_cloud(hsquare_cloud(3), cantor_cloud(0.5, 3)).points,
+               segment_cloud("x", 0.0, 1.0, 257).points]
+    for points in clouds:
+        for metric in (E, H):
+            for delta in (0.5, 0.21, 0.09):
+                _check_lattice(points, delta, metric)
+
+
+def test_lattice_invariants_at_slab_rounding_edges():
+    # x and y near 1e6 sit one ulp either side of slab edges k w, so floor(coord / w) rounds
+    # some of them across the edge and slab extents lie a few ulps from delta apart
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(33)))
+    delta = 0.1
+    for metric in (E, H):
+        w = delta / 2.0 if metric is H else delta
+        k = np.arange(round(1e6 / w), round(1e6 / w) + 12)
+        edges = np.concatenate([np.nextafter(k * w, -np.inf), k * w, np.nextafter(k * w, np.inf)])
+        pts = np.column_stack([rng.choice(edges, 400), rng.choice(edges, 400),
+                               rng.uniform(-0.1, 0.1, 400)])
+        _check_lattice(pts, delta, metric)
+        cloud = _cloud_from_points(pts)
+        assert np.array_equal(greedy_net(cloud, delta, metric)[1],
+                              _brute_net(pts, delta, metric)), metric
 
 
 def _traced_net_peak(cloud, delta, metric):
