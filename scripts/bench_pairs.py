@@ -7,10 +7,11 @@ Exports REV's committed files into a temporary directory and runs the frozen
 ``perfbench/run.py --trace 0`` there and in the working tree, once each per
 pair, with the side that runs first alternating from pair to pair. Prints
 every run's end-to-end metrics, then per metric REV's and the working tree's
-medians, REV's quartiles and in how many pairs the working tree was better.
-A claimed gain needs the working tree better in at least nine of ten pairs
-and a gap between the medians wider than REV's interquartile range; host
-speed drifts, so only pairs run side by side can show one.
+medians, REV's quartiles, the median of the per-pair ratios (working tree
+over REV, for information only) and in how many pairs the working tree was
+better. A claimed gain needs the working tree better in at least nine of ten
+pairs and a gap between the medians wider than REV's interquartile range;
+host speed drifts, so only pairs run side by side can show one.
 
 REV is exported with ``git archive``, so it holds exactly the committed files
 and leaves nothing in the repository. A run that reports ``correct: false``
@@ -20,6 +21,7 @@ makes the script exit non-zero after the summary.
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -56,9 +58,10 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def summary(metrics: list[dict], runs: list[tuple[dict, dict]]) -> list[str]:
-    """Per metric: both medians, REV's quartiles and the working tree's wins."""
+    """Per metric: both medians, REV's quartiles, the median per-pair ratio and
+    the working tree's wins."""
     lines = [f"{'metric':<12} {'rev median':>12} {'tree median':>12} {'rev q1':>12} "
-             f"{'rev q3':>12}  wins"]
+             f"{'rev q3':>12} {'ratio':>8}  wins"]
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pairs = [(r["metrics"][name]["value"], t["metrics"][name]["value"]) for r, t in runs
@@ -69,8 +72,11 @@ def summary(metrics: list[dict], runs: list[tuple[dict, dict]]) -> list[str]:
         wins = sum(t < r if lower else t > r for r, t in pairs)
         q1, q3 = quartiles(rev)
         medians = statistics.median(rev), statistics.median(tree)
+        # a pair whose REV value is 0 has no ratio
+        ratios = [t / r for r, t in pairs if r]
+        ratio = statistics.median(ratios) if ratios else math.nan
         lines.append(f"{name:<12} {medians[0]:>12.6g} {medians[1]:>12.6g} {q1:>12.6g} "
-                     f"{q3:>12.6g}  {wins}/{len(pairs)}")
+                     f"{q3:>12.6g} {ratio:>8.4f}  {wins}/{len(pairs)}")
     return lines
 
 

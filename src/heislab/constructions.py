@@ -483,15 +483,18 @@ def load_cloud(path) -> WeightedCloud:
         if header != ["x", "y", "t", "weight"]:
             raise ValueError(f"{path}: unexpected CSV header {header}")
         # np.loadtxt warns on an input without rows, so look for a row first
-        start = fh.tell()
         while (line := fh.readline()) and not line.rstrip("\r\n"):
             pass
         if not line:
             raise ValueError(f"{path}: no data rows")
-        fh.seek(start)
         bad_rows = f"{path}: every row must have 4 fields, each a float"
+        # np.loadtxt reads a path in chunks but a handle line by line; it would
+        # decompress a path whose suffix names a compression, so such a file
+        # is read through the handle
+        fh.seek(0)
+        source = fh if path.suffix in (".gz", ".bz2", ".xz", ".lzma") else path
         try:
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=1)
         except ValueError:
             raise ValueError(bad_rows) from None
     if data.shape[1] != 4:

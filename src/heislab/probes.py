@@ -145,42 +145,76 @@ def _checked_radii(radii) -> list[float]:
     return radii
 
 
-def _block_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[float],
-                 rhos: list[float], e_ball: float, e_plane: float, count: bool) -> list[tuple]:
+def _block_rows(points: np.ndarray, start: int) -> np.ndarray:
+    """The _BLOCK <= 2^16 rows at `start` as a column-major copy, so that the
+    kernels' elementwise passes run on unit-stride columns."""
+    return np.asfortranarray(points[start:start + _BLOCK])
+
+
+def _radius_masks(rows: np.ndarray, p: Point, radii: list[float], rhos: list[float],
+                  e_ball: float, e_plane: float, idx: np.ndarray | None = None):
+    """One block's radius loop at base point p. Per radius, in the descending
+    order of `radii`, while the block's working set holds rows, yields the
+    radius's index, the working set's row offsets (the rows of `idx` it keeps,
+    None without `idx`), its ball and plane-neighborhood masks, and its sphere
+    and slab error band masks (none when both errors are 0)."""
+    banded = e_ball > 0.0 or e_plane > 0.0
+    dE = dist_many(rows, p, MetricKind.EUCLIDEAN)
+    pd = plane_dist_many(rows, p)
+    for i, (r, rho) in enumerate(zip(radii, rhos)):
+        # both halves: the two float expressions disagree at the edge
+        keep = (dE - r <= e_ball) | (dE <= r + e_ball)
+        if not keep.all():
+            dE, pd = dE[keep], pd[keep]
+            if not dE.size:
+                return
+            if idx is not None:
+                idx = idx[keep]
+        # sphere-boundary points already clear of the slab, and slab-boundary
+        # points already inside the ball
+        bands = [(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane),
+                 (np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)] if banded else []
+        yield i, idx, dE <= r, pd <= rho, bands
+
+
+def _count_picks(points: np.ndarray, starts: np.ndarray, reached: np.ndarray, base_points,
+                 radii: list[float], rhos: list[float], e_ball: float,
+                 e_planes: list[float]) -> list[list[list[int]]]:
+    """Per base point and radius, how many rows lie in the ball near the plane
+    through the base point, in the ball clear of it, and in the sphere and slab
+    error bands: nested lists, bases x radii x 4. Blocks go outer: each block at
+    `starts` that some base point reaches (`reached`, bases x blocks) is copied
+    once, and every base point that reaches it runs its radius loop on that
+    copy while it is still in cache."""
+    tally = [[[0, 0, 0, 0] for _ in radii] for _ in base_points]
+    for b in np.flatnonzero(reached.any(axis=0)):
+        rows = _block_rows(points, starts[b])
+        for j in np.flatnonzero(reached[:, b]):
+            for i, _, ball, close, bands in _radius_masks(rows, base_points[j], radii, rhos,
+                                                          e_ball, e_planes[j]):
+                counts = tally[j][i]
+                near = np.count_nonzero(ball & close)
+                counts[0] += near
+                counts[1] += np.count_nonzero(ball) - near
+                for k, band in enumerate(bands, 2):
+                    counts[k] += np.count_nonzero(band)
+    return tally
+
+
+def _gather_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[float],
+                  rhos: list[float], e_ball: float, e_plane: float) -> list[tuple]:
     """Per radius, the rows of the ball near the plane through p, of the ball
     clear of it, and of the sphere and slab error bands (empty when both errors
-    are 0): four lists, in cloud order, of each block's row count if `count`,
-    else of a (block start, uint16 row offsets) pair per block whose selection
-    holds rows (2 bytes a row). Reads the _BLOCK <= 2^16-row blocks at `starts`."""
-    banded = e_ball > 0.0 or e_plane > 0.0
+    are 0): four lists, in cloud order, of a (block start, uint16 row offsets)
+    pair per block whose selection holds rows (2 bytes a row). Reads the blocks
+    at `starts`."""
     picks = [([], [], [], []) for _ in radii]
     for start in starts:
-        # a column-major copy, so that the kernels' elementwise passes run on
-        # unit-stride columns
-        rows = np.asfortranarray(points[start:start + _BLOCK])
-        dE = dist_many(rows, p, MetricKind.EUCLIDEAN)
-        pd = plane_dist_many(rows, p)
-        idx = None if count else np.arange(len(rows), dtype=np.uint16)
-        for r, rho, (near, clear, sphere, slab) in zip(radii, rhos, picks):
-            # both halves: the two float expressions disagree at the edge
-            keep = (dE - r <= e_ball) | (dE <= r + e_ball)
-            if not keep.all():
-                dE, pd = dE[keep], pd[keep]
-                if not dE.size:
-                    break
-                if not count:
-                    idx = idx[keep]
-            ball, close = dE <= r, pd <= rho
-            masks = [ball & close, ball & ~close]
-            if banded:
-                # sphere-boundary points already clear of the slab, and
-                # slab-boundary points already inside the ball
-                masks += [(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane),
-                          (np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)]
-            for parts, mask in zip((near, clear, sphere, slab), masks):
-                if count:
-                    parts.append(np.count_nonzero(mask))
-                elif (offsets := idx[mask]).size:
+        rows = _block_rows(points, start)
+        for i, idx, ball, close, bands in _radius_masks(rows, p, radii, rhos, e_ball, e_plane,
+                                                        np.arange(len(rows), dtype=np.uint16)):
+            for parts, mask in zip(picks[i], (ball & close, ball & ~close, *bands)):
+                if (offsets := idx[mask]).size:
                     parts.append((start, offsets))
     return picks
 
@@ -190,11 +224,18 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
                  extra: dict | None = None) -> ProbeResult:
     """Evaluate the density ratio on a grid of radii at each base point.
 
-    Each base point reads the cloud in blocks of _BLOCK rows, in cloud order,
-    and runs the whole radius loop on one block before the next, so a block's
-    distances and masks stay in cache. A block whose bounding box lies farther
-    than the largest radius (plus the placement error and a rounding pad) from
-    the base point is skipped unread.
+    The cloud is read in blocks of _BLOCK rows, each copied column-major, and a
+    base point runs its whole radius loop on one block before the next, so a
+    block's distances and masks stay in cache. A block whose bounding box lies
+    farther than the largest radius (plus the placement error and a rounding
+    pad) from a base point is skipped unread for that base point.
+
+    When every weight is one power of two (see below), blocks go outer: each
+    block that some base point reaches is copied once, and every base point
+    that reaches it runs on that copy. Otherwise base points go outer and each
+    reads its blocks in cloud order, since a base point's selections are kept
+    until its sums are done: blocks outer would hold every base point's
+    selections at once.
 
     Within a block the radii are visited in descending order, and the block
     keeps a working set of rows that shrinks to the ball as r descends: before
@@ -212,21 +253,23 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     whole cloud selects, in the same cloud order. So every sum adds the same
     numbers in the same order as on the whole cloud, and the results are
     bit-identical. When every weight is one power of two w, a mask records
-    only its row count k and its mass is k * w: every partial sum of k copies
-    of w is exact (k < 2^53), so that too is the whole-cloud sum. An entry
+    only its row count k (the clear count is the ball's less the near one),
+    and its mass is k * w: every partial sum of k copies of w is exact
+    (k < 2^53), so that too is the whole-cloud sum. An entry
     whose ratio or band over the denominator is not finite (a subnormal
     radius) is refused.
     """
     radii = _checked_radii(radii)
     denoms = [_denominator(convention, r, s) for r in radii]
     rhos = [rho_rule.rho(r) for r in radii]
+    base_points = list(base_points)
     if not base_points:
         raise ValueError("the density scan needs at least one base point")
     e_ball = cloud.placement_error
     points, weights = cloud.points, cloud.weights
     w = float(weights[0]) if len(weights) else 0.0
     count = math.frexp(w)[0] == 0.5 and bool((weights == w).all())
-    mass = (lambda parts: float(sum(parts)) * w) if count else partial(_mass, weights)
+    mass = (lambda k: float(k) * w) if count else partial(_mass, weights)
     starts = np.arange(0, len(cloud), _BLOCK)
     box_lo, box_hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
     # A block's box distance takes dist_many's float steps on gaps no larger than
@@ -236,16 +279,23 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     # a gap rounded at the scale of the coordinates.
     bound = max(np.abs(box_lo).max(initial=0.0), np.abs(box_hi).max(initial=0.0))
     reach = (radii[0] + e_ball) * (1.0 + 1e-9) + 8.0 * _EPS * bound
-    point_series: list[PointSeries] = []
+    reached, e_planes = [], []
     for p in base_points:
         q = p.as_array()
         gap = np.maximum(np.maximum(box_lo - q, q - box_hi), 0.0)
-        box = row_dist(gap, np.zeros(3), MetricKind.EUCLIDEAN)
+        reached.append(row_dist(gap, np.zeros(3), MetricKind.EUCLIDEAN) <= reach)
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
-        e_plane = (2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y)
-        picks = _block_picks(points, starts[box <= reach], p, radii, rhos, e_ball, e_plane,
-                             count)
+        e_planes.append((2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y))
+    if count:
+        per_base = _count_picks(points, starts, np.array(reached), base_points, radii, rhos,
+                                e_ball, e_planes)
+    else:
+        # one base point's offsets at a time, made as the loop below reaches it
+        per_base = (_gather_picks(points, starts[near_blocks], p, radii, rhos, e_ball, e_plane)
+                    for p, near_blocks, e_plane in zip(base_points, reached, e_planes))
+    point_series: list[PointSeries] = []
+    for p, picks in zip(base_points, per_base):
         series = []
         for r, denom in zip(radii[::-1], denoms[::-1]):
             # smallest radius first, each radius's lists dropped once summed, so

@@ -509,7 +509,12 @@ def test_write_json_refuses_non_finite_numbers(tmp_path, value):
 
 
 def test_load_cloud_line_ends_and_empty_lines(tmp_path):
-    path = tmp_path / "c.csv"
+    # np.loadtxt would decompress a path with a compression suffix; these are plain text
+    for name in ("c.csv", "c.gz", "c.csv.bz2", "c.xz", "c.lzma"):
+        _check_line_ends_and_empty_lines(tmp_path / name)
+
+
+def _check_line_ends_and_empty_lines(path):
     rows = ["0.5,-0.0,1e-300,0.25", "1.0,2.0,3.0,0.75"]
     for text in ["x,y,t,weight\n" + "\n".join(rows) + "\n",
                  "x,y,t,weight\r\n" + "\r\n".join(rows) + "\r\n",

@@ -616,11 +616,48 @@ def test_block_cull_keeps_a_row_at_the_reach(monkeypatch):
 def test_block_cull_far_base_point(monkeypatch):
     monkeypatch.setattr(probes, "_BLOCK", 7)
     cloud = _line_cloud(np.linspace(0.0, 1.0, 50), 0.01)
-    got = _assert_scan_matches_ref(cloud, [Point(100.0, 0.0, 0.0)], [2.0, 0.5],
+    far = Point(100.0, 0.0, 0.0)
+    got = _assert_scan_matches_ref(cloud, [far], [2.0, 0.5],
                                    RhoRule("linear", 0.25), 1.0, "(2r)^s", "far")
     assert got["error_bound"] == 0.0
     assert all(e["inside"] == e["outside"] == e["ratio"] == 0.0
                for ps in got["points"] for e in ps["series"])
+
+    # scanned together, each base point keeps its own cull; spies count the
+    # block copies and each base point's block runs
+    copies, runs = [], []
+    block_rows, radius_masks = probes._block_rows, probes._radius_masks
+
+    def copy_spy(points, start):
+        copies.append(int(start))
+        return block_rows(points, start)
+
+    def run_spy(rows, p, *args):
+        runs.append(p)
+        return radius_masks(rows, p, *args)
+
+    monkeypatch.setattr(probes, "_block_rows", copy_spy)
+    monkeypatch.setattr(probes, "_radius_masks", run_spy)
+    line = _line_cloud(np.linspace(0.0, 1.0, 64), 0.01)
+    assert (line.weights == 2.0**-6).all()
+    bases = [far, O, Point(0.1, 0.0, 0.0)]
+    for cloud in (line, _reweighted(line, np.linspace(1.0, 3.0, 64) ** 2)):
+        counted = cloud is line
+        copies.clear()
+        runs.clear()
+        with monkeypatch.context() as m:
+            if counted:
+                m.setattr(probes, "_mass", _no_gather)
+            got = _assert_scan_matches_ref(cloud, bases, [0.3, 0.1], RhoRule("linear", 0.25),
+                                           1.0, "(2r)^s", "cull")
+        # rows lie at x = i/63 and the reach is 0.31: O reaches blocks 0-2 and
+        # (0.1, 0, 0) blocks 0-3
+        assert [runs.count(p) for p in bases] == [0, 3, 4]
+        # a counted scan copies each reached block once, a gathered one once
+        # per base point that reaches it
+        assert sorted(copies) == ([0, 7, 14, 21] if counted else [0, 0, 7, 7, 14, 14, 21])
+        assert all(e["inside"] == e["outside"] == 0.0 for e in got["points"][0]["series"])
+        assert all(e["inside"] > 0.0 for ps in got["points"][1:] for e in ps["series"])
 
 
 def test_block_scan_with_a_short_last_block(monkeypatch, tseg):

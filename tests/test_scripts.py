@@ -1,6 +1,7 @@
 """The scripts in scripts/ run at small size, exit 0 and print their headline."""
 
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -71,8 +72,15 @@ def test_bench_pairs_smoke():
     assert all("correct=True" in line for line in lines[:2])
     assert lines[2] == "density seed 0: HEAD against the working tree, 1 pairs of 0 s runs"
     assert lines[3].split() == ["metric", "rev", "median", "tree", "median", "rev", "q1", "rev",
-                                "q3", "wins"]
+                                "q3", "ratio", "wins"]
     rows = {line.split()[0]: line.split()[1:] for line in lines[4:]}
     assert set(rows) == {"wall_s", "ops_per_s", "cpu_s", "setup_s", "peak_rss_mb", "ok_frac"}
-    assert all(len(row) == 5 and row[-1] in ("0/1", "1/1") for row in rows.values())
-    assert rows["ok_frac"][:2] == ["1", "1"]
+    assert all(len(row) == 6 and row[-1] in ("0/1", "1/1") for row in rows.values())
+    # the ratio column is the working tree's value over REV's, here of one pair
+    for row in rows.values():
+        rev, tree, ratio = float(row[0]), float(row[1]), float(row[4])
+        if rev:
+            assert ratio == pytest.approx(tree / rev, rel=1e-3)
+        else:
+            assert math.isnan(ratio)
+    assert rows["ok_frac"][:2] == ["1", "1"] and rows["ok_frac"][4] == "1.0000"
