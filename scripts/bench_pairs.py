@@ -3,25 +3,33 @@
 
     python3 scripts/bench_pairs.py HEAD --workload nets --pairs 10 --seed 0 --seconds 10
 
-Exports REV's committed files into a temporary directory and runs the frozen
-``perfbench/run.py --trace 0`` there and in the working tree, once each per
-pair, with the side that runs first alternating from pair to pair. Prints
-every run's end-to-end metrics, then per metric REV's and the working tree's
-medians, REV's quartiles, the median of the per-pair ratios (working tree
-over REV, for information only) and in how many pairs the working tree was
-better. A claimed gain needs the working tree better in at least nine of ten
-pairs and a gap between the medians wider than REV's interquartile range;
-host speed drifts, so only pairs run side by side can show one.
+Exports REV's committed files and the working tree's files into two sibling
+temporary directories and runs the frozen ``perfbench/run.py --trace 0`` in
+each, once per pair, with the side that runs first alternating from pair to
+pair. Prints every run's end-to-end metrics, then per metric REV's and the
+working tree's medians, REV's quartiles, the median of the per-pair ratios
+(working tree over REV, for information only) and in how many pairs the
+working tree was better. A claimed gain needs the working tree better in at
+least nine of ten pairs and a gap between the medians wider than REV's
+interquartile range; host speed drifts, so only pairs run side by side can
+show one.
 
 REV is exported with ``git archive``, so it holds exactly the committed files
-and leaves nothing in the repository. A run that reports ``correct: false``
-makes the script exit non-zero after the summary.
+and leaves nothing in the repository. The working tree's copy holds the files
+that ``git ls-files --cached --others --exclude-standard`` lists and that
+exist: tracked files as they are on disk, and untracked files that are not
+ignored. Both sides thus run from the same kind of location, which alone
+moved ``setup_s`` by several percent when the working tree ran in place. A
+run that reports ``correct: false`` makes the script exit non-zero after the
+summary.
 """
 
 import argparse
 import io
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,6 +48,18 @@ def export(rev: str, dest: Path) -> None:
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, **safe)
+
+
+def copy_tree(dest: Path, root: Path = ROOT) -> None:
+    """Copy the working tree at root under dest: every file that git ls-files
+    lists as tracked or as untracked and not ignored, if it exists."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=root, capture_output=True,
+                           check=True).stdout
+    for name in filter(None, os.fsdecode(names).split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -98,10 +118,11 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        rev_root = Path(tmp)
+        rev_root, tree_root = Path(tmp) / "rev", Path(tmp) / "tree"
         export(args.rev, rev_root)
+        copy_tree(tree_root)
         for i in range(args.pairs):
-            sides = [("rev", rev_root), ("tree", ROOT)]
+            sides = [("rev", rev_root), ("tree", tree_root)]
             result = {}
             for side, root in sides if i % 2 == 0 else sides[::-1]:
                 result[side] = run(root, args.workload, args.seed, args.seconds)

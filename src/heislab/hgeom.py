@@ -75,8 +75,6 @@ def beta_plus(s: float) -> float:
 
 def as_points_array(points) -> np.ndarray:
     a = np.asarray(points, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(1, 3)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array of points, got shape {a.shape}")
     return a

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -177,46 +176,52 @@ def _radius_masks(rows: np.ndarray, p: Point, radii: list[float], rhos: list[flo
         yield i, idx, dE <= r, pd <= rho, bands
 
 
-def _count_picks(points: np.ndarray, starts: np.ndarray, reached: np.ndarray, base_points,
-                 radii: list[float], rhos: list[float], e_ball: float,
-                 e_planes: list[float]) -> list[list[list[int]]]:
-    """Per base point and radius, how many rows lie in the ball near the plane
-    through the base point, in the ball clear of it, and in the sphere and slab
-    error bands: nested lists, bases x radii x 4. Blocks go outer: each block at
-    `starts` that some base point reaches (`reached`, bases x blocks) is copied
-    once, and every base point that reaches it runs its radius loop on that
-    copy while it is still in cache."""
-    tally = [[[0, 0, 0, 0] for _ in radii] for _ in base_points]
+def _block_runs(points: np.ndarray, starts: np.ndarray, reached: np.ndarray, base_points,
+                radii: list[float], rhos: list[float], e_ball: float, e_planes: list[float],
+                offsets: bool = False):
+    """Every radius loop of a scan, blocks outer: each block at `starts` that
+    some base point reaches (`reached`, bases x blocks) is copied once, and each
+    base point that reaches it runs _radius_masks on the copy, with its uint16
+    row offsets if `offsets`. Yields the base index, the block start and that tuple."""
     for b in np.flatnonzero(reached.any(axis=0)):
         rows = _block_rows(points, starts[b])
+        idx = np.arange(len(rows), dtype=np.uint16) if offsets else None
         for j in np.flatnonzero(reached[:, b]):
-            for i, _, ball, close, bands in _radius_masks(rows, base_points[j], radii, rhos,
-                                                          e_ball, e_planes[j]):
-                counts = tally[j][i]
-                near = np.count_nonzero(ball & close)
-                counts[0] += near
-                counts[1] += np.count_nonzero(ball) - near
-                for k, band in enumerate(bands, 2):
-                    counts[k] += np.count_nonzero(band)
-    return tally
+            for run in _radius_masks(rows, base_points[j], radii, rhos, e_ball, e_planes[j], idx):
+                yield j, starts[b], run
 
 
-def _gather_picks(points: np.ndarray, starts: np.ndarray, p: Point, radii: list[float],
-                  rhos: list[float], e_ball: float, e_plane: float) -> list[tuple]:
-    """Per radius, the rows of the ball near the plane through p, of the ball
-    clear of it, and of the sphere and slab error bands (empty when both errors
-    are 0): four lists, in cloud order, of a (block start, uint16 row offsets)
-    pair per block whose selection holds rows (2 bytes a row). Reads the blocks
-    at `starts`."""
-    picks = [([], [], [], []) for _ in radii]
-    for start in starts:
-        rows = _block_rows(points, start)
-        for i, idx, ball, close, bands in _radius_masks(rows, p, radii, rhos, e_ball, e_plane,
-                                                        np.arange(len(rows), dtype=np.uint16)):
-            for parts, mask in zip(picks[i], (ball & close, ball & ~close, *bands)):
-                if (offsets := idx[mask]).size:
-                    parts.append((start, offsets))
-    return picks
+def _counted_masses(runs, bases: int, radii: int, w: float) -> list[list[tuple]]:
+    """Per base point and radius, the masses (near, clear, sphere, slab) of a
+    cloud whose every weight is w: the rows of each mask in `runs` are counted,
+    the clear count is the ball's less the near one, and a count k weighs k * w."""
+    tally = [[[0, 0, 0, 0] for _ in range(radii)] for _ in range(bases)]
+    for j, _, (i, _, ball, close, bands) in runs:
+        counts = tally[j][i]
+        near = np.count_nonzero(ball & close)
+        counts[0] += near
+        counts[1] += np.count_nonzero(ball) - near
+        for k, band in enumerate(bands, 2):
+            counts[k] += np.count_nonzero(band)
+    return [[tuple(float(k) * w for k in counts) for counts in row] for row in tally]
+
+
+def _gathered_masses(runs, weights: np.ndarray, radii: int) -> list[tuple]:
+    """Per radius, the masses (near, clear, sphere, slab) of one base point's
+    `runs`, which carry offsets. A mask's rows are kept as a (block start, uint16
+    offsets) pair per block where it selects any (2 bytes a row) and summed by
+    _mass, smallest radius first; each radius's pairs are dropped once summed,
+    so the largest gather runs with little else alive."""
+    picks = [([], [], [], []) for _ in range(radii)]
+    for _, start, (i, idx, ball, close, bands) in runs:
+        for parts, mask in zip(picks[i], (ball & close, ball & ~close, *bands)):
+            if (offsets := idx[mask]).size:
+                parts.append((start, offsets))
+    masses = [()] * radii
+    for i in reversed(range(radii)):
+        masses[i] = tuple(_mass(weights, parts) for parts in picks[i])
+        picks[i] = ()
+    return masses
 
 
 def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
@@ -224,18 +229,18 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
                  extra: dict | None = None) -> ProbeResult:
     """Evaluate the density ratio on a grid of radii at each base point.
 
-    The cloud is read in blocks of _BLOCK rows, each copied column-major, and a
-    base point runs its whole radius loop on one block before the next, so a
-    block's distances and masks stay in cache. A block whose bounding box lies
-    farther than the largest radius (plus the placement error and a rounding
-    pad) from a base point is skipped unread for that base point.
+    The cloud is read in blocks of _BLOCK rows, each copied column-major. A
+    block whose bounding box lies farther than the largest radius (plus the
+    placement error and a rounding pad) from a base point is skipped unread for
+    that base point.
 
-    When every weight is one power of two (see below), blocks go outer: each
-    block that some base point reaches is copied once, and every base point
-    that reaches it runs on that copy. Otherwise base points go outer and each
-    reads its blocks in cloud order, since a base point's selections are kept
-    until its sums are done: blocks outer would hold every base point's
-    selections at once.
+    One traversal, _block_runs, goes blocks outer: each block that the given
+    base points reach is copied once, and each of them that reaches it runs
+    its whole radius loop on that copy while the block's distances and masks
+    stay in cache. When every weight is one power of two (see below), one
+    traversal takes every base point and counts rows. Otherwise each base
+    point takes a traversal of its own and sums its selections, so that only
+    one base point's selections are alive at a time.
 
     Within a block the radii are visited in descending order, and the block
     keeps a working set of rows that shrinks to the ball as r descends: before
@@ -245,19 +250,18 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     smaller radius either, so the working sets are nested and never lose a row
     a later radius needs; an empty working set ends the block.
 
-    Each mask records the rows it selects as uint16 offsets in its block. The
-    sums run smallest radius first and drop each radius's masks once summed;
-    the series keeps descending r. The distance kernels are elementwise, so a
-    block's values are bit-for-bit those of a whole-cloud pass; and the rows of
-    each sum, gathered block after block, are the weights that a mask on the
-    whole cloud selects, in the same cloud order. So every sum adds the same
-    numbers in the same order as on the whole cloud, and the results are
-    bit-identical. When every weight is one power of two w, a mask records
-    only its row count k (the clear count is the ball's less the near one),
-    and its mass is k * w: every partial sum of k copies of w is exact
-    (k < 2^53), so that too is the whole-cloud sum. An entry
-    whose ratio or band over the denominator is not finite (a subnormal
-    radius) is refused.
+    A gathered mask records the rows it selects as uint16 offsets in its
+    block, and its sums run smallest radius first, dropping each radius's
+    offsets once summed. The distance kernels are elementwise, so a block's
+    values are bit-for-bit those of a whole-cloud pass; and the rows of each
+    sum, gathered block after block, are the weights that a mask on the whole
+    cloud selects, in the same cloud order. So every sum adds the same numbers
+    in the same order as on the whole cloud, and the results are bit-identical.
+    When every weight is one power of two w, a mask records only its row count
+    k (the clear count is the ball's less the near one), and its mass is k * w:
+    every partial sum of k copies of w is exact (k < 2^53), so that too is the
+    whole-cloud sum. An entry whose ratio or band over the denominator is not
+    finite (a subnormal radius) is refused.
     """
     radii = _checked_radii(radii)
     denoms = [_denominator(convention, r, s) for r in radii]
@@ -269,7 +273,6 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     points, weights = cloud.points, cloud.weights
     w = float(weights[0]) if len(weights) else 0.0
     count = math.frexp(w)[0] == 0.5 and bool((weights == w).all())
-    mass = (lambda k: float(k) * w) if count else partial(_mass, weights)
     starts = np.arange(0, len(cloud), _BLOCK)
     box_lo, box_hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
     # A block's box distance takes dist_many's float steps on gaps no larger than
@@ -287,32 +290,28 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
         e_planes.append((2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y))
+    reached = np.array(reached)
     if count:
-        per_base = _count_picks(points, starts, np.array(reached), base_points, radii, rhos,
-                                e_ball, e_planes)
+        masses = _counted_masses(_block_runs(points, starts, reached, base_points, radii, rhos,
+                                             e_ball, e_planes), len(base_points), len(radii), w)
     else:
         # one base point's offsets at a time, made as the loop below reaches it
-        per_base = (_gather_picks(points, starts[near_blocks], p, radii, rhos, e_ball, e_plane)
-                    for p, near_blocks, e_plane in zip(base_points, reached, e_planes))
+        masses = (_gathered_masses(_block_runs(points, starts, reached[j:j + 1], [p], radii, rhos,
+                                               e_ball, [e_plane], offsets=True),
+                                   weights, len(radii))
+                  for j, (p, e_plane) in enumerate(zip(base_points, e_planes)))
     point_series: list[PointSeries] = []
-    for p, picks in zip(base_points, per_base):
+    for p, by_r in zip(base_points, masses):
         series = []
-        for r, denom in zip(radii[::-1], denoms[::-1]):
-            # smallest radius first, each radius's lists dropped once summed, so
-            # the largest gather runs with little else alive
-            near, clear, sphere, slab = picks.pop()
-            outside = mass(clear)
-            # mass whose classification flip could change the outside term
-            band = mass(sphere)
-            band += mass(slab)
-            entry = SeriesEntry(r=r, inside=mass(near), outside=outside,
-                                ratio=outside / denom, band=band / denom)
+        for r, denom, (near, clear, sphere, slab) in zip(radii, denoms, by_r):
+            # sphere + slab: mass whose classification flip could change the outside term
+            entry = SeriesEntry(r=r, inside=near, outside=clear, ratio=clear / denom,
+                                band=(sphere + slab) / denom)
             if not (math.isfinite(entry.ratio) and math.isfinite(entry.band)):
                 raise ValueError(f"the density ratio or its error band at r={r} is not finite "
                                  f"over the denominator {convention} = {denom}")
             series.append(entry)
-        del near, clear, sphere, slab
-        point_series.append(PointSeries(p=p, series=series[::-1]))
+        point_series.append(PointSeries(p=p, series=series))
     # min and max return the first extreme entry in scan order
     entries = [e for ps in point_series for e in ps.series]
     lo = min(entries, key=lambda e: e.ratio)

@@ -86,6 +86,36 @@ def test_subdivide_rejects_tall_children():
         subdivide_rect([0, 10, 0, 1], 1, 0.5)  # lam*(b-a) = 5 > 1
 
 
+def _off_axis_cantor():
+    return WeightedCloud(np.array([[0.5, 0.0, 0.0]]), np.ones(1), 1.0, {"kind": "cantor"})
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: subdivide_rect(UNIT, 0, 0.5), ValueError, "n must be a positive integer"),
+    (lambda: subdivide_rect(UNIT, 1.5, 0.25), ValueError, "n must be a positive integer"),
+    (lambda: subdivide_rect(UNIT, 1, 0.0), ValueError, r"lambda must lie in \(0, 1/2\]"),
+    (lambda: subdivide_rect(UNIT, 1, 0.75), ValueError, r"lambda must lie in \(0, 1/2\]"),
+    (lambda: build_family(Example1(), -1), ValueError, "level must be >= 0"),
+    (lambda: family_cloud(build_family(Example1(), 0), 0, kind="ex1"), ValueError,
+     "samples_per_rect must be >= 1"),
+    # two rectangles at level 0, so the limit is passed before any row is made
+    (lambda: family_cloud(build_family(Example1(), 0), MAX_POINTS, kind="ex1"),
+     ResourceLimitError, "exceed the 10000000 limit"),
+    (lambda: ifs_cloud(hsquare_ifs(), -1, source={"kind": "hsquare", "depth": -1}), ValueError,
+     "depth must be >= 0"),
+    (lambda: product_cloud(hsquare_cloud(1), _off_axis_cantor()), ValueError,
+     "second factor must lie on the t-axis"),
+    # 4^7 * 2^10 = 2^24 pairs
+    (lambda: product_cloud(hsquare_cloud(7), cantor_cloud(0.5, 10)), ResourceLimitError,
+     "product needs 16777216 points"),
+], ids=["n-zero", "n-fraction", "lambda-zero", "lambda-past-half", "negative-level",
+        "no-samples", "samples-past-limit", "negative-depth", "off-axis-factor",
+        "product-past-limit"])
+def test_builders_refuse_bad_input(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_rect_validation():
     with pytest.raises(ValueError):
         RectFamily(level=0, rects=[[1, 0, 0, 1]], h=-1.0, v=1.0)
@@ -389,11 +419,22 @@ def test_segment_cloud_limits():
         segment_cloud("x", 0, 1, MAX_POINTS + 1)
     with pytest.raises(ValueError, match="bad point count"):
         segment_cloud("t", -1, 1, 0)
+    with pytest.raises(ValueError, match="axis must be 'x' or 't'"):
+        segment_cloud("y", -1, 1, 10)
+    for lo, hi in ((1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            segment_cloud("t", lo, hi, 10)
 
 
 def test_cloud_weight_mass_consistency_enforced():
     from heislab.constructions import WeightedCloud
 
+    for points in (np.zeros((2, 2)), np.zeros(3), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match="points must be"):
+            WeightedCloud(points=points, weights=np.array([0.5, 0.5]), total_mass=1.0, source={})
+    for weights in (np.array([1.0]), np.full((2, 1), 0.5)):
+        with pytest.raises(ValueError, match="one weight per point"):
+            WeightedCloud(points=np.zeros((2, 3)), weights=weights, total_mass=1.0, source={})
     with pytest.raises(ValueError):
         WeightedCloud(points=np.zeros((2, 3)), weights=np.array([0.5, 0.5]),
                       total_mass=2.0, source={})

@@ -472,6 +472,8 @@ def test_comparison_on_axis_pairs():
     Q = np.hstack([rng.uniform(-2, 2, size=(3000, 1)), np.zeros((3000, 2))])
     lower, _ = compare_on_pairs(P, Q)
     assert abs(lower - 1.0) <= 1e-9
+    with pytest.raises(ValueError, match="no distinct pairs"):
+        compare_on_pairs(P, P)
 
 
 def test_fit_metric_comparison_bounded():

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from heislab.hgeom import (
     MetricKind,
     Point,
+    as_points_array,
     beta_minus,
     beta_plus,
+    dilate_many,
     dist_many,
     dist_pairs,
     plane_dist_many,
@@ -258,3 +260,19 @@ def test_vectorized_forms_match_scalar():
         pd = plane_dist_many(pts, base)
         for i in range(64):
             assert pd[i] == dist_to_plane(Point.from_array(pts[i]), base)
+
+
+@pytest.mark.parametrize("call, match", [
+    # one point is a (1, 3) array: a bare (3,) row is refused like any other shape
+    (lambda: as_points_array(np.zeros(3)), r"expected an \(n, 3\) array.*\(3,\)"),
+    (lambda: as_points_array(np.zeros((2, 2))), r"expected an \(n, 3\) array"),
+    (lambda: as_points_array(np.zeros((2, 3, 1))), r"expected an \(n, 3\) array"),
+    (lambda: dist_many([0.0, 0.0, 1.0], ORIGIN, E), r"expected an \(n, 3\) array"),
+    (lambda: dilate_many(np.zeros((1, 3)), 0.0), "dilation factor must be positive"),
+    (lambda: dilate_many(np.zeros((1, 3)), -2.0), "dilation factor must be positive"),
+    (lambda: dilate_many(np.zeros((1, 3)), math.nan), "dilation factor must be positive"),
+], ids=["one-row", "two-columns", "three-dims", "dist-many-one-row", "lambda-zero",
+        "lambda-negative", "lambda-nan"])
+def test_row_kernels_refuse_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -39,6 +39,7 @@ from heislab.probes import (
     _denominator,
     estimate_annulus_constants,
     ex1_probe,
+    ex1_scan,
     ex2_default_radii,
     ex2_probe,
     ex2_window_level,
@@ -250,6 +251,24 @@ def test_ex2_probe_validations():
         ex2_default_radii(math.inf, 5)  # 2^k <= 68M for every k
     with pytest.raises(ValueError):
         ex2_default_radii(math.nan, 5)  # every comparison with NaN is false
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: panel_from_rects(build_family(Example1(), 1), 4, x_max=-1.0),
+     "no admissible base points"),
+    # ks = [1] needs the side length of level 2
+    (lambda: ex1_scan(segment_cloud("t", -1.0, 1.0, 10), {0: 0.5, 1: 0.25}, [1], [O]),
+     "no side length known for level 2"),
+    (lambda: estimate_annulus_constants(cantor_cloud(0.5, 3), [1.0, 2.0, 0.0], 0.5),
+     r"needs radii inside \(0, 1\)"),
+    (lambda: ex3_probe(0.0, 1, 2), r"d must lie in \(0, 1\)"),
+    (lambda: ex3_probe(1.0, 1, 2), r"d must lie in \(0, 1\)"),
+    (lambda: ex3_probe(math.nan, 1, 2), r"d must lie in \(0, 1\)"),
+], ids=["no-admissible-center", "no-side-length", "no-annulus-radius", "d-zero", "d-one",
+        "d-nan"])
+def test_probes_refuse_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_ex3_probe_positive_and_annulus():
@@ -562,7 +581,14 @@ def test_counted_scan_matches_unpruned_reference(points, k, radii, case, block, 
     if (far := float(dist_many(points, O, E).max())) > 0:
         radii = radii + [far]
     with mock.patch.object(probes, "_BLOCK", block), mock.patch.object(probes, "_mass", _no_gather):
-        _assert_scan_matches_ref(cloud, bases, radii, *case, "counted")
+        try:
+            _assert_scan_matches_ref(cloud, bases, radii, *case, "counted")
+        except ValueError as exc:
+            # a weight up to 2^900 over the denominator of a tiny radius can pass
+            # the float range, and the scan may refuse only where the reference overflows
+            assert "is not finite" in str(exc)
+            ref = _scan_ref(cloud, bases, radii, *case, "counted")
+            assert not (math.isfinite(ref.summary["max_ratio"]) and math.isfinite(ref.error_bound))
 
 
 def test_scan_of_an_empty_cloud_reads_zero():

@@ -84,3 +84,30 @@ def test_bench_pairs_smoke():
         else:
             assert math.isnan(ratio)
     assert rows["ok_frac"][:2] == ["1", "1"] and rows["ok_frac"][4] == "1.0000"
+
+
+def test_bench_pairs_copies_the_working_tree(tmp_path):
+    # tracked files as on disk and untracked ones are copied; ignored files and
+    # tracked files deleted from the tree are not
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    tree = tmp_path / "tree"
+    (tree / "pkg").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q"], cwd=tree, check=True)
+    files = {".gitignore": ".perfbench_tmp/\n", "kept.py": "a", "gone.py": "b",
+             "pkg/tracked.py": "c"}
+    for name, text in files.items():
+        (tree / name).write_text(text)
+    subprocess.run(["git", "add", "."], cwd=tree, check=True)
+    (tree / "gone.py").unlink()
+    (tree / "kept.py").write_text("a, edited")
+    (tree / "pkg" / "new.py").write_text("d")
+    (tree / ".perfbench_tmp").mkdir()
+    (tree / ".perfbench_tmp" / "fs.csv").write_text("e")
+    dest = tmp_path / "copy"
+    bench_pairs.copy_tree(dest, tree)
+    got = {p.relative_to(dest).as_posix(): p.read_text() for p in dest.rglob("*") if p.is_file()}
+    assert got == {".gitignore": ".perfbench_tmp/\n", "kept.py": "a, edited",
+                   "pkg/tracked.py": "c", "pkg/new.py": "d"}
