@@ -302,15 +302,15 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
                   for j, (p, e_plane) in enumerate(zip(base_points, e_planes)))
     point_series: list[PointSeries] = []
     for p, by_r in zip(base_points, masses):
-        series = []
-        for r, denom, (near, clear, sphere, slab) in zip(radii, denoms, by_r):
-            # sphere + slab: mass whose classification flip could change the outside term
-            entry = SeriesEntry(r=r, inside=near, outside=clear, ratio=clear / denom,
-                                band=(sphere + slab) / denom)
-            if not (math.isfinite(entry.ratio) and math.isfinite(entry.band)):
-                raise ValueError(f"the density ratio or its error band at r={r} is not finite "
-                                 f"over the denominator {convention} = {denom}")
-            series.append(entry)
+        # sphere + slab: mass whose classification flip could change the outside term
+        series = [SeriesEntry(r=r, inside=near, outside=clear, ratio=clear / denom,
+                              band=(sphere + slab) / denom)
+                  for r, denom, (near, clear, sphere, slab) in zip(radii, denoms, by_r)]
+        # smallest radius first, the one nearest the subnormal edge
+        for e, denom in zip(series[::-1], denoms[::-1]):
+            if not (math.isfinite(e.ratio) and math.isfinite(e.band)):
+                raise ValueError(f"the density ratio or its error band at r={e.r} is not "
+                                 f"finite over the denominator {convention} = {denom}")
         point_series.append(PointSeries(p=p, series=series))
     # min and max return the first extreme entry in scan order
     entries = [e for ps in point_series for e in ps.series]
