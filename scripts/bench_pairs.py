@@ -6,7 +6,9 @@
 Exports REV's committed files and the working tree's files into two sibling
 temporary directories and runs the frozen ``perfbench/run.py --trace 0`` in
 each, once per pair, with the side that runs first alternating from pair to
-pair. Prints every run's end-to-end metrics, then per metric REV's and the
+pair. Prints every run's end-to-end metrics and how many bodies and set-up
+rounds its record holds (a faster body is followed by fewer set-up rounds,
+which run for a tenth of each body's wall time), then per metric REV's and the
 working tree's medians, REV's quartiles, the median of the per-pair ratios
 (working tree over REV, for information only) and in how many pairs the
 working tree was better. A claimed gain needs the working tree better in at
@@ -63,11 +65,15 @@ def copy_tree(dest: Path, root: Path = ROOT) -> None:
 
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run of the checkout at root: its last line."""
+    """One untraced perfbench run of the checkout at root: its result line, with
+    the number of bodies and of set-up rounds from its record line."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    record, result = out.stdout.strip().splitlines()[-2:]
+    record, result = json.loads(record)["record"], json.loads(result)
+    result["rounds"] = len(record["wall_s"]), len(record["setup_s"])
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -102,7 +108,8 @@ def summary(metrics: list[dict], runs: list[tuple[dict, dict]]) -> list[str]:
 
 def describe(result: dict) -> str:
     values = " ".join(f"{k}={v['value']:.6g}" for k, v in result.get("metrics", {}).items())
-    return f"correct={result.get('correct')} {values}"
+    bodies, setups = result["rounds"]
+    return f"correct={result.get('correct')} bodies={bodies} setups={setups} {values}"
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ silently mixing them shifts results by powers of two.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -150,44 +151,88 @@ def _block_rows(points: np.ndarray, start: int) -> np.ndarray:
     return np.asfortranarray(points[start:start + _BLOCK])
 
 
-def _radius_masks(rows: np.ndarray, p: Point, radii: list[float], rhos: list[float],
-                  e_ball: float, e_plane: float, idx: np.ndarray | None = None):
-    """One block's radius loop at base point p. Per radius, in the descending
-    order of `radii`, while the block's working set holds rows, yields the
-    radius's index, the working set's row offsets (the rows of `idx` it keeps,
-    None without `idx`), its ball and plane-neighborhood masks, and its sphere
-    and slab error band masks (none when both errors are 0)."""
-    banded = e_ball > 0.0 or e_plane > 0.0
+_TOP = 0x7FF0_0000_0000_0000  # the rank of +inf; -inf ranks -_TOP
+
+
+def _rank(x: float) -> int:
+    """x's rank among the doubles; both zeros rank 0, a NaN past its sign's infinity."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _double(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k - 2**63))[0]
+
+
+def _last(holds, x: float) -> float:
+    """The largest double v with holds(v), or NaN if none, so that v <= _last(holds, x)
+    is holds(v) for every double v; holds must fail at NaN and, where it holds, hold
+    at every smaller double. Gallops from the guess x (a NaN from its infinity),
+    then bisects the ranks: at most 128 calls of holds."""
+    k = min(max(_rank(x), -_TOP), _TOP)
+    # holds at rank lo and not at hi; -_TOP - 1 and _TOP + 1 lie past the infinities
+    lo, hi = (k, _TOP + 1) if holds(_double(k)) else (-_TOP - 1, k)
+    step = 1
+    while hi - lo > 1:
+        # gallop while an end lies past an infinity, then bisect
+        mid = (min(lo + step, _TOP) if hi > _TOP else max(hi - step, -_TOP) if lo < -_TOP
+               else (lo + hi) // 2)
+        step *= 2
+        lo, hi = (mid, hi) if holds(_double(mid)) else (lo, mid)
+    return _double(lo) if lo >= -_TOP else math.nan
+
+
+def _first(holds, x: float) -> float:
+    """The smallest double v with holds(v), or NaN: _last through negation."""
+    return -_last(lambda v: holds(-v), -x)
+
+
+def _band(c: float, e: float) -> tuple[float, float]:
+    """(lo, hi) such that lo <= v <= hi is abs(v - c) <= e for every double v, with
+    c in [0, inf]. At c = inf, v - c is NaN at v = inf, which hi excludes; lo's
+    predicate holds there, as it must to hold upwards, so it is not v - c >= -e."""
+    return _first(lambda v: not v - c < -e, c - e), _last(lambda v: v - c <= e, c + e)
+
+
+def _radius_masks(rows: np.ndarray, p: Point, cuts: list[tuple], idx: np.ndarray | None = None):
+    """One block's radius loop at base point p, on scan_density's thresholds
+    `cuts`, one tuple per radius in descending order. Per radius, while the
+    block's working set holds rows, yields the radius's index, the working set's
+    row offsets (the rows of `idx` it keeps, None without `idx`), its ball and
+    plane-neighborhood masks, and its sphere and slab error band masks (none
+    when both errors are 0)."""
     dE = dist_many(rows, p, MetricKind.EUCLIDEAN)
     pd = plane_dist_many(rows, p)
-    for i, (r, rho) in enumerate(zip(radii, rhos)):
-        # both halves: the two float expressions disagree at the edge
-        keep = (dE - r <= e_ball) | (dE <= r + e_ball)
+    for i, (r, rho, last, band) in enumerate(cuts):
+        keep = dE <= last
         if not keep.all():
             dE, pd = dE[keep], pd[keep]
             if not dE.size:
                 return
             if idx is not None:
                 idx = idx[keep]
-        # sphere-boundary points already clear of the slab, and slab-boundary
-        # points already inside the ball
-        bands = [(np.abs(dE - r) <= e_ball) & (pd > rho - e_plane),
-                 (np.abs(pd - rho) <= e_plane) & (dE <= r + e_ball)] if banded else []
+        bands = []
+        if band:
+            # sphere-boundary points already clear of the slab, and slab-boundary
+            # points already inside the ball
+            s_lo, s_hi, clear, p_lo, p_hi, r_hi = band
+            bands = [(dE >= s_lo) & (dE <= s_hi) & (pd > clear),
+                     (pd >= p_lo) & (pd <= p_hi) & (dE <= r_hi)]
         yield i, idx, dE <= r, pd <= rho, bands
 
 
 def _block_runs(points: np.ndarray, starts: np.ndarray, reached: np.ndarray, base_points,
-                radii: list[float], rhos: list[float], e_ball: float, e_planes: list[float],
-                offsets: bool = False):
+                cuts: list[list[tuple]], offsets: bool = False):
     """Every radius loop of a scan, blocks outer: each block at `starts` that
     some base point reaches (`reached`, bases x blocks) is copied once, and each
-    base point that reaches it runs _radius_masks on the copy, with its uint16
-    row offsets if `offsets`. Yields the base index, the block start and that tuple."""
+    base point that reaches it runs _radius_masks on the copy with its row of
+    `cuts`, and with its uint16 row offsets if `offsets`. Yields the base index,
+    the block start and that tuple."""
     for b in np.flatnonzero(reached.any(axis=0)):
         rows = _block_rows(points, starts[b])
         idx = np.arange(len(rows), dtype=np.uint16) if offsets else None
         for j in np.flatnonzero(reached[:, b]):
-            for run in _radius_masks(rows, base_points[j], radii, rhos, e_ball, e_planes[j], idx):
+            for run in _radius_masks(rows, base_points[j], cuts[j], idx):
                 yield j, starts[b], run
 
 
@@ -242,13 +287,16 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     point takes a traversal of its own and sums its selections, so that only
     one base point's selections are alive at a time.
 
-    Within a block the radii are visited in descending order, and the block
-    keeps a working set of rows that shrinks to the ball as r descends: before
-    radius r it drops every row with both fl(dE - r) > e_ball and
-    dE > fl(r + e_ball). Those are the rows no mask at r can select (the ball
-    dE <= r and the two band terms), and by monotone rounding no mask at a
-    smaller radius either, so the working sets are nested and never lose a row
-    a later radius needs; an empty working set ends the block.
+    Every mask compares dE or pd with thresholds made per radius and base
+    point before any block is read: rounding is monotone and abs is exact, so
+    each float expression a mask stands for, such as fl(|pd - rho|) <= e_plane,
+    holds on an interval of doubles, and comparing with its end doubles (found
+    by _last and _first) selects the same rows. Within a block the radii go in
+    descending order, and the block's working set of rows shrinks to the ball
+    as r descends: before radius r it keeps the rows with fl(dE - r) <= e_ball
+    or dE <= fl(r + e_ball), the only rows that a mask at r or, by monotone
+    rounding, at a smaller radius can select. So the working sets are nested
+    and never lose a row a later radius needs; an empty one ends the block.
 
     A gathered mask records the rows it selects as uint16 offsets in its
     block, and its sums run smallest radius first, dropping each radius's
@@ -282,24 +330,29 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     # a gap rounded at the scale of the coordinates.
     bound = max(np.abs(box_lo).max(initial=0.0), np.abs(box_hi).max(initial=0.0))
     reach = (radii[0] + e_ball) * (1.0 + 1e-9) + 8.0 * _EPS * bound
-    reached, e_planes = [], []
+    # per radius: the keep threshold, the sphere band's ends and fl(r + e_ball)
+    balls = [(_last(lambda v: v - r <= e_ball or v <= r + e_ball, r + e_ball),
+              *_band(r, e_ball), r + e_ball) for r in radii]
+    reached, cuts = [], []
     for p in base_points:
         q = p.as_array()
         gap = np.maximum(np.maximum(box_lo - q, q - box_hi), 0.0)
         reached.append(row_dist(gap, np.zeros(3), MetricKind.EUCLIDEAN) <= reach)
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
-        e_planes.append((2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y))
+        e_plane = float((2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y))
+        cuts.append([(r, rho, keep, (s_lo, s_hi, rho - e_plane, *_band(rho, e_plane), r_hi)
+                      if e_ball > 0.0 or e_plane > 0.0 else None)
+                     for r, rho, (keep, s_lo, s_hi, r_hi) in zip(radii, rhos, balls)])
     reached = np.array(reached)
     if count:
-        masses = _counted_masses(_block_runs(points, starts, reached, base_points, radii, rhos,
-                                             e_ball, e_planes), len(base_points), len(radii), w)
+        masses = _counted_masses(_block_runs(points, starts, reached, base_points, cuts),
+                                 len(base_points), len(radii), w)
     else:
         # one base point's offsets at a time, made as the loop below reaches it
-        masses = (_gathered_masses(_block_runs(points, starts, reached[j:j + 1], [p], radii, rhos,
-                                               e_ball, [e_plane], offsets=True),
-                                   weights, len(radii))
-                  for j, (p, e_plane) in enumerate(zip(base_points, e_planes)))
+        masses = (_gathered_masses(_block_runs(points, starts, reached[j:j + 1], [p], cuts[j:j + 1],
+                                               offsets=True), weights, len(radii))
+                  for j, p in enumerate(base_points))
     point_series: list[PointSeries] = []
     for p, by_r in zip(base_points, masses):
         # sphere + slab: mass whose classification flip could change the outside term

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -586,8 +587,23 @@ def test_counted_scan_matches_unpruned_reference(points, k, radii, case, block, 
     # a radius at a row's own distance puts that row on the sphere
     if (far := float(dist_many(points, O, E).max())) > 0:
         radii = radii + [far]
+    args = (cloud, bases, radii, *case, "counted")
+    # a tiny radius can take (c r)^s, or a ratio or band over it, past the
+    # float range; the scan refuses exactly where the reference leaves it
+    try:
+        ref = _scan_ref(*args)
+    except ValueError as exc:
+        assert "not a finite positive number" in str(exc)
+        refusal = "not a finite positive number"
+    else:
+        entries = [e.ratio for ps in ref.points for e in ps.series] + [ref.error_bound]
+        refusal = None if all(map(math.isfinite, entries)) else "is not finite over the denominator"
     with mock.patch.object(probes, "_BLOCK", block), mock.patch.object(probes, "_mass", _no_gather):
-        _assert_scan_matches_ref(cloud, bases, radii, *case, "counted")
+        if refusal is None:
+            _assert_scan_matches_ref(*args)
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                scan_density(*args)
 
 
 def test_scan_of_an_empty_cloud_reads_zero():
@@ -618,6 +634,166 @@ def test_counted_scan_at_the_real_block_size(monkeypatch):
 def test_block_scan_rounding_edges(monkeypatch, block):
     monkeypatch.setattr(probes, "_BLOCK", block)
     test_pruned_scan_rounding_edges()
+
+
+def _ulps(x, n):
+    """x and the n doubles on either side of it (held at the infinities)."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(float(np.nextafter(below[-1], -math.inf)))
+        above.append(float(np.nextafter(above[-1], math.inf)))
+    return below[:0:-1] + above
+
+
+def _keep(r, e):
+    return probes._last(lambda v: v - r <= e or v <= r + e, r + e)
+
+
+# 0, subnormals, and 1e-300 to 1e300
+MAGNITUDES = st.one_of(st.just(0.0), st.floats(5e-324, 2.0**-1022, exclude_max=True),
+                       st.floats(1e-300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(MAGNITUDES, MAGNITUDES)
+def test_thresholds_select_what_the_float_expressions_select(c, e):
+    # the keep threshold at radius c and the band ends around c, each with the
+    # doubles up to 4 ulps either side; the masks are the ones the scan replaced
+    keep, (lo, hi) = _keep(c, e), probes._band(c, e)
+    x = np.array([v for t in (keep, lo, hi, c, c + e, c - e) for v in _ulps(t, 4)])
+    assert np.array_equal(x <= keep, (x - c <= e) | (x <= c + e))
+    assert np.array_equal((x >= lo) & (x <= hi), np.abs(x - c) <= e)
+
+
+def test_threshold_intervals_empty_and_full():
+    big = RhoRule("quadratic", 2.0).rho(1e200)
+    assert big == math.inf
+    cases = [(big, 0.1), (big, math.inf), (big, 0.0), (0.5, 0.0), (0.0, 0.0), (0.5, math.inf),
+             (0.5, 1e300), (math.inf, math.inf), (0.5, math.nan)]
+    x = np.array([0.0, 5e-324, 1e-300, 0.4, 0.5, 0.6, 1e300, sys.float_info.max, math.inf,
+                  math.nan] + _ulps(0.5, 2))
+    for c, e in cases:
+        lo, hi = probes._band(c, e)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.abs(x - c) <= e
+        assert np.array_equal((x >= lo) & (x <= hi), want), (c, e)
+    # an infinite rho: no slab band, or every finite pd when the error is infinite
+    assert probes._band(big, 0.1) == (math.inf, sys.float_info.max)
+    assert probes._band(big, math.inf) == (-math.inf, sys.float_info.max)
+    assert probes._band(0.5, 0.0) == (0.5, 0.5)
+    assert probes._band(0.5, math.inf) == (-math.inf, math.inf)
+    assert math.isnan(probes._band(0.5, math.nan)[1])
+    assert _keep(0.5, 0.0) == 0.5 and _keep(0.5, math.inf) == math.inf
+
+
+def test_threshold_search_asks_a_bounded_number_of_times():
+    ends = [-math.inf, -sys.float_info.max, -1.0, -5e-324, 0.0, 5e-324, 1.0, 1e300,
+            sys.float_info.max, math.inf]
+    guesses = ends + [math.nan, -math.nan]
+    for end in ends + [None]:
+        for guess in guesses:
+            calls = []
+
+            def below(v):
+                calls.append(v)
+                return end is not None and v <= end
+
+            got = probes._last(below, guess)
+            assert got == end if end is not None else math.isnan(got)
+            assert len(calls) <= 128, (end, guess)
+            calls.clear()
+            got = probes._first(lambda v: below(-v), -guess)
+            assert got == -end if end is not None else math.isnan(got)
+            assert len(calls) <= 128, (end, guess)
+
+
+def test_scan_with_empty_and_full_bands():
+    # a huge radius under a quadratic rule has rho = inf; an err_t of 0 at base
+    # points with y = 0 makes the slab band pd == rho; an err_t of 1e300 puts
+    # every row in both bands
+    t = np.linspace(-1.0, 1.0, 41)
+    points = np.concatenate([np.column_stack([t, 0.0 * t, 0.0 * t]),
+                             np.column_stack([0.0 * t, 0.0 * t, t])])
+    weights = np.linspace(1.0, 3.0, len(points)) ** 2
+    bases = [O, Point(0.0, 0.0, 0.25), Point(0.5, 0.0, 0.0)]
+    for err_xy, err_t in ((0.01, 0.0), (0.01, 0.02), (0.0, 1e300)):
+        cloud = WeightedCloud(points, weights, float(weights.sum()), {"kind": "axes"}, err_xy,
+                              err_t)
+        for c in (cloud, _reweighted(cloud, np.full(len(points), 0.25))):
+            for rule, radii in ((RhoRule("quadratic", 2.0), [1e200, 0.5, 0.25]),
+                                (RhoRule("fixed", 0.5), [0.5, 0.25, 0.05])):
+                got = _assert_scan_matches_ref(c, bases, radii, rule, 1.0, "2r", "bands")
+                assert got["error_bound"] > 0.0
+
+
+def _edge_rows(r, e, rho):
+    """Doubles within 48 ulps of the scan's float edges at radius r, placement
+    error e and width rho, each checked to hold a flip of its expression."""
+    edges = [(r + e, lambda x: (x - r <= e) | (x <= r + e)), (r + e, lambda x: x - r <= e),
+             (r - e, lambda x: x - r >= -e), (rho + e, lambda x: x - rho <= e),
+             (rho - e, lambda x: x - rho >= -e), (r, lambda x: x <= r), (rho, lambda x: x <= rho)]
+    rows = []
+    for guess, flips in edges:
+        x = np.array(_ulps(guess, 48))
+        if x[-1] > 0.0:
+            assert len(set(flips(x))) == 2
+            rows.extend(x[x >= 0.0])
+    return rows
+
+
+# the placement error and the two radii of test_pruned_scan_rounding_edges: at
+# r_a the keep threshold is the sphere band's upper end, at r_b it is fl(r + e)
+EDGE_E, EDGE_RADII = 0.25909202707367274, (0.039265546881084884, 0.2745175275197104)
+EDGE_RULES = [RhoRule("fixed", 2.0), RhoRule("fixed", 0.125)]
+
+
+def _edge_cloud(distinct):
+    """Rows on the t-axis (dE = pd = |t|) and on the x-axis (dE = |x|, pd = 0)
+    at every double near each mask's edge at EDGE_RADII, placement error EDGE_E."""
+    d = np.unique([x for r in EDGE_RADII for rule in EDGE_RULES
+                   for x in _edge_rows(r, EDGE_E, rule.rho(r))])
+    zero = np.zeros_like(d)
+    points = np.concatenate([np.column_stack([zero, zero, d]), np.column_stack([d, zero, zero])])
+    assert np.array_equal(dist_many(points, O, E), np.concatenate([d, d]))
+    assert np.array_equal(plane_dist_many(points, O), np.concatenate([d, zero]))
+    w = np.linspace(1.0, 3.0, len(points)) ** 2 if distinct else np.full(len(points), 2.0**-9)
+    return WeightedCloud(points, w, float(w.sum()), {"kind": "edge"}, err_t=EDGE_E)
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["uniform", "distinct"])
+def test_scan_threshold_rounding_edges(monkeypatch, distinct):
+    cloud = _edge_cloud(distinct)
+    if not distinct:
+        monkeypatch.setattr(probes, "_mass", _no_gather)
+    r_a, r_b = EDGE_RADII
+    for rule in EDGE_RULES:
+        for radii in ([r_a], [r_b], [r_b, r_a]):
+            _assert_scan_matches_ref(cloud, [O], radii, rule, 1.0, "2r", "edge")
+
+
+def test_scan_working_set_is_what_the_keep_expressions_keep(monkeypatch):
+    # a row that no mask selects may stay in the working set without changing
+    # any output, so the offsets themselves are checked: before radius r the
+    # set holds the rows with fl(dE - r) <= e or dE <= fl(r + e) at r and at
+    # every larger radius
+    cloud = _edge_cloud(distinct=True)
+    assert len(cloud) <= probes._BLOCK
+    kept = {}
+    radius_masks = probes._radius_masks
+
+    def spy(*args):
+        for run in radius_masks(*args):
+            kept[run[0]] = run[1].copy()
+            yield run
+
+    monkeypatch.setattr(probes, "_radius_masks", spy)
+    dE, e = dist_many(cloud.points, O, E), EDGE_E
+    radii = sorted(EDGE_RADII + (0.5, 0.02), reverse=True)
+    scan_density(cloud, [O], radii, EDGE_RULES[0], 1.0, "2r", "edge")
+    want = np.ones(len(dE), dtype=bool)
+    for i, r in enumerate(radii):
+        want &= (dE - r <= e) | (dE <= r + e)
+        assert np.array_equal(kept.get(i, []), np.flatnonzero(want)), r
 
 
 def _line_cloud(x, e=0.0):

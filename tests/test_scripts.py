@@ -70,6 +70,12 @@ def test_bench_pairs_smoke():
     lines = proc.stdout.splitlines()
     assert [line.split()[:3] for line in lines[:2]] == [["pair", "1", "rev"], ["pair", "1", "tree"]]
     assert all("correct=True" in line for line in lines[:2])
+    # a zero-second run holds one body, three set-up rounds before it and at
+    # least one after it
+    for line in lines[:2]:
+        fields = dict(f.split("=") for f in line.split()[3:])
+        assert fields["bodies"] == "1" and int(fields["setups"]) >= 4
+        assert set(fields) >= {"wall_s", "setup_s"}
     assert lines[2] == "density seed 0: HEAD against the working tree, 1 pairs of 0 s runs"
     assert lines[3].split() == ["metric", "rev", "median", "tree", "median", "rev", "q1", "rev",
                                 "q3", "ratio", "wins"]
