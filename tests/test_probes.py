@@ -709,9 +709,9 @@ def test_threshold_search_asks_a_bounded_number_of_times():
 
 def test_scan_with_empty_and_full_bands():
     # a huge radius under a quadratic rule has rho = inf; an err_t of 0 at base
-    # points with y = 0 makes the slab band pd == rho; an err_t of 1e300 puts
-    # every row in both bands
-    t = np.linspace(-1.0, 1.0, 41)
+    # points with y = 0 makes the slab band pd == rho, which rows at the fixed
+    # rule's rho from O meet; an err_t of 1e300 puts every row in both bands
+    t = np.concatenate([np.linspace(-1.0, 1.0, 41), [0.25, -0.125, 0.025]])
     points = np.concatenate([np.column_stack([t, 0.0 * t, 0.0 * t]),
                              np.column_stack([0.0 * t, 0.0 * t, t])])
     weights = np.linspace(1.0, 3.0, len(points)) ** 2
