@@ -9,11 +9,14 @@ and keeps each run's record line and result line. The file is a record of
 one commit, not a proof of a gain: host speed drifts, so a claimed gain
 still needs alternating parent/change pairs. A run that reports
 ``correct: false`` times a wrong output, so the script then exits non-zero,
-naming the run, and writes no file.
+naming the run, and writes no file. A command that fails ends the script
+with its command line and its error output.
 """
 
 import argparse
 import json
+import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -50,4 +53,9 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except subprocess.CalledProcessError as exc:
+        # the command's own message says why it failed; a traceback would not
+        sys.exit(f"{shlex.join(map(str, exc.cmd))} exited {exc.returncode}:\n"
+                 f"{os.fsdecode(exc.stderr or '').rstrip()}")

@@ -23,7 +23,8 @@ exist: tracked files as they are on disk, and untracked files that are not
 ignored. Both sides thus run from the same kind of location, which alone
 moved ``setup_s`` by several percent when the working tree ran in place. A
 run that reports ``correct: false`` makes the script exit non-zero after the
-summary.
+summary, and a command that fails (``git`` or a run) ends it with its command
+line and its error output.
 """
 
 import argparse
@@ -31,6 +32,7 @@ import io
 import json
 import math
 import os
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -145,4 +147,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except subprocess.CalledProcessError as exc:
+        # the command's own message says why it failed; a traceback would not
+        sys.exit(f"{shlex.join(map(str, exc.cmd))} exited {exc.returncode}:\n"
+                 f"{os.fsdecode(exc.stderr or '').rstrip()}")

@@ -182,29 +182,24 @@ def _last(holds, x: float) -> float:
     return _double(lo) if lo >= -_TOP else math.nan
 
 
-def _first(holds, x: float) -> float:
-    """The smallest double v with holds(v), or NaN: _last through negation."""
-    return -_last(lambda v: holds(-v), -x)
-
-
 def _band(c: float, e: float) -> tuple[float, float]:
     """(lo, hi) such that lo <= v <= hi is abs(v - c) <= e for every double v, with
-    c in [0, inf]. At c = inf, v - c is NaN at v = inf, which hi excludes; lo's
-    predicate holds there, as it must to hold upwards, so it is not v - c >= -e."""
-    return _first(lambda v: not v - c < -e, c - e), _last(lambda v: v - c <= e, c + e)
+    c in [0, inf]; lo is _last through negation. At c = inf, v - c is NaN at v = inf,
+    which hi excludes; lo's predicate holds there, as an up-set must, so it is not v - c >= -e."""
+    return -_last(lambda v: not -v - c < -e, -(c - e)), _last(lambda v: v - c <= e, c + e)
 
 
 def _radius_masks(rows: np.ndarray, p: Point, cuts: list[tuple], idx: np.ndarray | None = None):
     """One block's radius loop at base point p, on scan_density's thresholds
-    `cuts`, one tuple per radius in descending order. Per radius, while the
-    block's working set holds rows, yields the radius's index, the working set's
-    row offsets (the rows of `idx` it keeps, None without `idx`), its ball and
-    plane-neighborhood masks, and its sphere and slab error band masks (none
-    when both errors are 0)."""
+    `cuts`: per radius in descending order, r, rho, the keep threshold and the
+    band ends or None. Per radius, while the block's working set holds rows,
+    yields the radius's index, the working set's row offsets (the rows of `idx`
+    it keeps, None without `idx`), its ball and plane-neighborhood masks, and
+    its sphere and slab error band masks (none without band ends)."""
     dE = dist_many(rows, p, MetricKind.EUCLIDEAN)
     pd = plane_dist_many(rows, p)
-    for i, (r, rho, last, band) in enumerate(cuts):
-        keep = dE <= last
+    for i, (r, rho, upto, band) in enumerate(cuts):
+        keep = dE <= upto
         if not keep.all():
             dE, pd = dE[keep], pd[keep]
             if not dE.size:
@@ -291,12 +286,14 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     point before any block is read: rounding is monotone and abs is exact, so
     each float expression a mask stands for, such as fl(|pd - rho|) <= e_plane,
     holds on an interval of doubles, and comparing with its end doubles (found
-    by _last and _first) selects the same rows. Within a block the radii go in
-    descending order, and the block's working set of rows shrinks to the ball
-    as r descends: before radius r it keeps the rows with fl(dE - r) <= e_ball
-    or dE <= fl(r + e_ball), the only rows that a mask at r or, by monotone
-    rounding, at a smaller radius can select. So the working sets are nested
-    and never lose a row a later radius needs; an empty one ends the block.
+    by _band) selects the same rows. Within a block the radii go in descending
+    order, and the block's working set of rows shrinks to the ball as r
+    descends: before radius r it keeps the rows with fl(dE - r) <= e_ball or
+    dE <= fl(r + e_ball), the only rows that a mask at r or, by monotone
+    rounding, at a smaller radius can select; each half holds on a down-set of
+    doubles, so keep compares dE with the larger of the two ends, the sphere
+    band's top and fl(r + e_ball). So the working sets are nested and never
+    lose a row a later radius needs; an empty one ends the block.
 
     A gathered mask records the rows it selects as uint16 offsets in its
     block, and its sums run smallest radius first, dropping each radius's
@@ -330,9 +327,9 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
     # a gap rounded at the scale of the coordinates.
     bound = max(np.abs(box_lo).max(initial=0.0), np.abs(box_hi).max(initial=0.0))
     reach = (radii[0] + e_ball) * (1.0 + 1e-9) + 8.0 * _EPS * bound
-    # per radius: the keep threshold, the sphere band's ends and fl(r + e_ball)
-    balls = [(_last(lambda v: v - r <= e_ball or v <= r + e_ball, r + e_ball),
-              *_band(r, e_ball), r + e_ball) for r in radii]
+    # per radius, the sphere band's ends and fl(r + e_ball); only a cloud with a placement
+    # error has bands, as e_plane is 0 wherever e_ball = hypot(err_xy, err_t) is
+    spheres = [(*_band(r, e_ball), r + e_ball) for r in radii]
     reached, cuts = [], []
     for p in base_points:
         q = p.as_array()
@@ -341,9 +338,9 @@ def scan_density(cloud: WeightedCloud, base_points, radii, rho_rule: RhoRule,
         # plane distance is insensitive to horizontal placement except through
         # the 2*y0 slope term, so the plane band uses the anisotropic bound
         e_plane = float((2.0 * abs(p.y) * cloud.err_xy + cloud.err_t) / normal_scale(p.x, p.y))
-        cuts.append([(r, rho, keep, (s_lo, s_hi, rho - e_plane, *_band(rho, e_plane), r_hi)
-                      if e_ball > 0.0 or e_plane > 0.0 else None)
-                     for r, rho, (keep, s_lo, s_hi, r_hi) in zip(radii, rhos, balls)])
+        cuts.append([(r, rho, max(s_hi, r_hi), (s_lo, s_hi, rho - e_plane, *_band(rho, e_plane),
+                                                r_hi) if e_ball > 0.0 else None)
+                     for r, rho, (s_lo, s_hi, r_hi) in zip(radii, rhos, spheres)])
     reached = np.array(reached)
     if count:
         masses = _counted_masses(_block_runs(points, starts, reached, base_points, cuts),
@@ -514,29 +511,19 @@ def ex2_probe(M: float, level: int, radii=None, samples_per_rect: int = 4,
     return ex2_scan(cloud, M, level, radii, base_points)
 
 
-def _annulus_min_ratio(t_values: np.ndarray, weights: np.ndarray, centers: np.ndarray,
-                       radii, c0: float, d: float) -> float:
-    worst = math.inf
-    for tc in centers:
-        delta_t = np.abs(t_values - tc)
-        for r in radii:
-            m = float(weights[(delta_t >= c0 * r) & (delta_t <= r / 4.0)].sum())
-            worst = min(worst, m / r**d)
-    return worst
-
-
 def estimate_annulus_constants(cantor: WeightedCloud, radii, d: float) -> tuple[float, float]:
-    """Largest c0 from the grid {2^-j / 4 : j = 0..10} such that the annulus
-    c0*r <= |t'' - t'| <= r/4 carries mass at least c_d * r^d for every radius
-    and for 24 centers strided through the cloud, together with that observed
-    c_d. Returns (0, 0) when no candidate works."""
+    """Largest c0 from the grid {2^-j / 4 : j = 0..10} such that the annulus c0*r <=
+    |t'' - t'| <= r/4 carries mass at least c_d * r^d for every radius and for 24 centers
+    strided through the cloud, with that observed c_d (the least annulus mass over r^d);
+    each center's |t - tc| serves every c0. Returns (0, 0) when no candidate works."""
     radii = [r for r in radii if 0.0 < r < 1.0]
     if not radii:
         raise ValueError("annulus estimation needs radii inside (0, 1)")
     t_values = cantor.points[:, 2]
-    centers = t_values[_strided(len(t_values), 24)]
+    gaps = [np.abs(t_values - tc) for tc in t_values[_strided(len(t_values), 24)]]
     for c0 in (0.25 * 2.0**-j for j in range(11)):
-        cd = _annulus_min_ratio(t_values, cantor.weights, centers, radii, c0, d)
+        cd = min(float(cantor.weights[(gap >= c0 * r) & (gap <= r / 4.0)].sum()) / r**d
+                 for gap in gaps for r in radii)
         if cd > 0.0:
             return c0, cd
     return 0.0, 0.0

@@ -1,6 +1,6 @@
 """Scalar reference forms of the group law, the two metrics, the plane distance,
-the one-point mass split and the ex2 switch level, which the tests compare the
-package's array and closed-form code to."""
+the one-point mass split, the ex2 switch level and the annulus constants, which
+the tests compare the package's array and closed-form code to."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from heislab.constructions import WeightedCloud
 from heislab.hgeom import MetricKind, Point, dist_many, normal_scale, plane_dist_many
+from heislab.probes import _strided
 
 ORIGIN = Point(0.0, 0.0, 0.0)
 
@@ -88,3 +89,21 @@ def ex2_switch_level(M: float) -> int:
     while 2**k <= 34 * M:
         k += 1
     return k
+
+
+def annulus_constants(cantor: WeightedCloud, radii, d: float) -> tuple[float, float]:
+    """estimate_annulus_constants as a loop over c0 candidates, centers and radii,
+    with one |t - tc| pass per center and candidate."""
+    radii = [r for r in radii if 0.0 < r < 1.0]
+    t_values = cantor.points[:, 2]
+    centers = t_values[_strided(len(t_values), 24)]
+    for c0 in (0.25 * 2.0**-j for j in range(11)):
+        worst = math.inf
+        for tc in centers:
+            delta_t = np.abs(t_values - tc)
+            for r in radii:
+                m = float(cantor.weights[(delta_t >= c0 * r) & (delta_t <= r / 4.0)].sum())
+                worst = min(worst, m / r**d)
+        if worst > 0.0:
+            return c0, worst
+    return 0.0, 0.0

@@ -55,7 +55,15 @@ from heislab.probes import (
     thm1_scan,
     thm2_scan,
 )
-from oracle import _split, density_ratio, dist, dist_to_plane, group_mul, mass_split
+from oracle import (
+    _split,
+    annulus_constants,
+    density_ratio,
+    dist,
+    dist_to_plane,
+    group_mul,
+    mass_split,
+)
 
 E = MetricKind.EUCLIDEAN
 H = MetricKind.HEISENBERG
@@ -294,6 +302,23 @@ def test_ex3_annulus_oracle():
         for r in radii:
             m = cloud.weights[(np.abs(t - tc) >= c0 * r) & (np.abs(t - tc) <= r / 4)].sum()
             assert m >= cd * r**0.5 - 1e-12
+
+
+@pytest.mark.parametrize("d, depth, radii, c0", [
+    (0.5, 5, list(np.geomspace(5.0, 0.05, 17)), 0.0625),
+    (0.5, 7, list(np.geomspace(1.0, 0.05, 8)), 0.0625),
+    (0.3, 6, list(np.geomspace(1.0, 0.05, 8)), 0.03125),
+    (0.7, 8, [0.9, 0.5, 0.3, 0.1], 0.125),
+    (0.5, 3, list(np.geomspace(1.0, 0.05, 8)), 0.0),
+    (0.5, 6, [1e-9], 0.0),
+], ids=["d0.5-depth5", "d0.5-depth7", "d0.3-depth6", "d0.7-depth8", "coarse-no-fit",
+        "tiny-radius-no-fit"])
+def test_annulus_constants_match_the_loop_oracle(d, depth, radii, c0):
+    # one |t - tc| pass per center gives the double loop's c0 and c_d, bit for bit
+    cloud = cantor_cloud(d, depth)
+    got, want = estimate_annulus_constants(cloud, radii, d), annulus_constants(cloud, radii, d)
+    assert got[0] == c0 < 0.25
+    assert [(type(v), float(v).hex()) for v in got] == [(type(v), float(v).hex()) for v in want]
 
 
 def test_ex3_control_horizontal_input_zero(xseg):
@@ -646,7 +671,7 @@ def _ulps(x, n):
 
 
 def _keep(r, e):
-    return probes._last(lambda v: v - r <= e or v <= r + e, r + e)
+    return max(probes._band(r, e)[1], r + e)
 
 
 # 0, subnormals, and 1e-300 to 1e300
@@ -700,10 +725,6 @@ def test_threshold_search_asks_a_bounded_number_of_times():
 
             got = probes._last(below, guess)
             assert got == end if end is not None else math.isnan(got)
-            assert len(calls) <= 128, (end, guess)
-            calls.clear()
-            got = probes._first(lambda v: below(-v), -guess)
-            assert got == -end if end is not None else math.isnan(got)
             assert len(calls) <= 128, (end, guess)
 
 

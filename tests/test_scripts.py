@@ -92,6 +92,18 @@ def test_bench_pairs_smoke():
     assert rows["ok_frac"][:2] == ["1", "1"] and rows["ok_frac"][4] == "1.0000"
 
 
+def test_bench_pairs_reports_why_a_command_failed():
+    # a bad REV ends the script with git's own message and no traceback
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+                           "no-such-rev", "--workload", "density", "--pairs", "1"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0 and not proc.stdout
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "git archive --format=tar no-such-rev exited 128:"
+    assert "Traceback" not in proc.stderr
+    assert any("no-such-rev" in line for line in lines[1:]), proc.stderr
+
+
 def test_bench_pairs_copies_the_working_tree(tmp_path):
     # tracked files as on disk and untracked ones are copied; ignored files and
     # tracked files deleted from the tree are not
