@@ -6,6 +6,7 @@ systems, and the vertical product set, all with exact per-piece measure weights.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -386,22 +387,46 @@ def expected_dims(source: dict) -> tuple[float | None, float]:
 # 170 MB of new pages per 524K-row save, and a varying amount from save to save)
 SAVE_BLOCK_ROWS = 1024
 
-def sidecar_path(path) -> Path:
+def _beside(path, suffix: str) -> Path:
     path = Path(path)
     if path.suffix == ".csv":
-        return path.with_suffix(".meta.json")
-    return Path(str(path) + ".meta.json")
+        return path.with_suffix(suffix)
+    return Path(str(path) + suffix)
+
+
+def sidecar_path(path) -> Path:
+    return _beside(path, ".meta.json")
+
+
+def rows_path(path) -> Path:
+    """The binary companion of a saved CSV: the sha256 of the CSV's bytes, the
+    row count n as <u8, the points as row-major <f8 (n x 3), then the weights
+    as <f8 (n), 40 + 32n bytes in all."""
+    return _beside(path, ".rows")
+
+
+def _sha256(path) -> bytes:
+    """The sha256 of the file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        # blocks under glibc's 128 KiB mmap threshold: freeing a mapped 1 MiB block
+        # raises that threshold, and the heap then kept 1.5 MB more of pipeline peak
+        while block := fh.read(1 << 16):
+            digest.update(block)
+    return digest.digest()
 
 
 def write_text(text, path) -> None:
-    """Write text (a string, or an iterable of strings written in turn) to
-    `name.tmp`, then rename it over path: no reader sees half a file. If
-    anything raises, the temp file is removed and path is left as it was."""
+    """Write text (a string or bytes, or an iterable of strings and bytes-like
+    chunks written in turn, strings as UTF-8) to `name.tmp`, then rename it over
+    path: no reader sees half a file. If anything raises, the temp file is
+    removed and path is left as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with open(tmp, "wb") as fh:
+            for chunk in [text] if isinstance(text, (str, bytes)) else text:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -415,7 +440,8 @@ def write_json(obj, path) -> None:
 
 def save_cloud(cloud: WeightedCloud, path) -> None:
     """Write the cloud as CSV rows x,y,t,weight (CRLF line ends, repr fields, so
-    load_cloud gives back every bit) plus the JSON sidecar."""
+    load_cloud gives back every bit), the JSON sidecar, and last the binary
+    companion (rows_path) that load_cloud reads in place of parsing the CSV."""
     # one repr per distinct bit pattern of each column (a prefractal repeats its
     # coordinates; keyed on bits, not values, so -0.0 keeps its own text apart from 0.0)
     columns = []
@@ -439,6 +465,11 @@ def save_cloud(cloud: WeightedCloud, path) -> None:
     meta = {"source": cloud.source, "total_mass": cloud.total_mass,
             "err_xy": cloud.err_xy, "err_t": cloud.err_t}
     write_json(meta, sidecar_path(path))
+    # keyed by the CSV's bytes on disk and written last: a save cut short leaves a
+    # companion whose digest does not match, so load_cloud parses the CSV
+    write_text([_sha256(path), len(cloud).to_bytes(8, "little"),
+                memoryview(np.ascontiguousarray(cloud.points, dtype="<f8")),
+                memoryview(np.ascontiguousarray(cloud.weights, dtype="<f8"))], rows_path(path))
 
 
 def json_number(value, message: str, integer: bool = False):
@@ -473,10 +504,28 @@ def _read_sidecar(mpath: Path) -> dict:
     return meta
 
 
+def _companion_rows(path: Path):
+    """The points and weights in path's binary companion, as views of one
+    buffer, if it holds the sha256 of path's bytes and exactly 40 + 32n bytes;
+    else None (no companion, one that cannot be read, a stale or a truncated one)."""
+    try:
+        buf = np.fromfile(rows_path(path), dtype=np.uint8)
+    except OSError:
+        return None
+    if buf.size < 40:
+        return None
+    n = int(buf[32:40].view("<u8")[0])
+    if buf.size != 40 + 32 * n or buf[:32].tobytes() != _sha256(path):
+        return None
+    return buf[40:40 + 24 * n].view("<f8").reshape(n, 3), buf[40 + 24 * n:].view("<f8")
+
+
 def load_cloud(path) -> WeightedCloud:
     """Read a save_cloud CSV and its sidecar. Empty lines are skipped; anything
     else that is not 4 comma-separated floats per row is a ValueError naming
-    the file."""
+    the file. Past the header and no-rows checks, the rows come from the
+    binary companion when it holds the digest of the CSV's bytes (the CSV is
+    then what save_cloud wrote from them), and from parsing the CSV otherwise."""
     path = Path(path)
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
@@ -487,28 +536,32 @@ def load_cloud(path) -> WeightedCloud:
             pass
         if not line:
             raise ValueError(f"{path}: no data rows")
-        bad_rows = f"{path}: every row must have 4 fields, each a float"
-        # np.loadtxt reads a path in chunks but a handle line by line; it would
-        # decompress a path whose suffix names a compression, so such a file
-        # is read through the handle
-        fh.seek(0)
-        source = fh if path.suffix in (".gz", ".bz2", ".xz", ".lzma") else path
-        try:
-            data = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=1)
-        except ValueError:
-            raise ValueError(bad_rows) from None
-    if data.shape[1] != 4:
-        raise ValueError(bad_rows)
+        rows = _companion_rows(path)
+        if rows is None:
+            bad_rows = f"{path}: every row must have 4 fields, each a float"
+            # np.loadtxt reads a path in chunks but a handle line by line; it would
+            # decompress a path whose suffix names a compression, so such a file
+            # is read through the handle
+            fh.seek(0)
+            source = fh if path.suffix in (".gz", ".bz2", ".xz", ".lzma") else path
+            try:
+                data = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=1)
+            except ValueError:
+                raise ValueError(bad_rows) from None
+            if data.shape[1] != 4:
+                raise ValueError(bad_rows)
+            rows = data[:, :3], data[:, 3]
+    points, weights = rows
     mpath = sidecar_path(path)
     if mpath.exists():
         meta = _read_sidecar(mpath)
     else:
-        meta = {"source": {"kind": "unknown"}, "total_mass": float(data[:, 3].sum()),
+        meta = {"source": {"kind": "unknown"}, "total_mass": float(weights.sum()),
                 "err_xy": 0.0, "err_t": 0.0}
     try:
         return WeightedCloud(
-            points=data[:, :3],
-            weights=data[:, 3],
+            points=points,
+            weights=weights,
             total_mass=meta["total_mass"],
             source=meta["source"],
             err_xy=meta["err_xy"],

@@ -275,7 +275,11 @@ def delta_ladder(hi: float, lo: float, count: int | None = None) -> list[float]:
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"a log ladder needs 0 < lo < hi < inf, got lo={lo}, hi={hi}")
     if count is None:
-        count = max(MIN_SCALES, int(round(8 * math.log10(hi / lo))) + 1)
+        decades = math.log10(hi / lo)  # infinite when hi / lo overflows
+        if not math.isfinite(decades):
+            raise ValueError(f"a log ladder from {hi} down to {lo} has no finite "
+                             "default count")
+        count = max(MIN_SCALES, int(round(8 * decades)) + 1)
     if count > MAX_POINTS:
         raise ResourceLimitError(f"a log ladder of {count} values exceeds the {MAX_POINTS} limit")
     return list(np.geomspace(hi, lo, count))

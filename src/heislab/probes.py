@@ -516,6 +516,8 @@ def estimate_annulus_constants(cantor: WeightedCloud, radii, d: float) -> tuple[
     |t'' - t'| <= r/4 carries mass at least c_d * r^d for every radius and for 24 centers
     strided through the cloud, with that observed c_d (the least annulus mass over r^d);
     each center's |t - tc| serves every c0. Returns (0, 0) when no candidate works."""
+    if not (0.0 < d < 1.0):
+        raise ValueError(f"d must lie in (0, 1), got {d}")
     radii = [r for r in radii if 0.0 < r < 1.0]
     if not radii:
         raise ValueError("annulus estimation needs radii inside (0, 1)")

@@ -1,14 +1,16 @@
 """Scalar reference forms of the group law, the two metrics, the plane distance,
 the one-point mass split, the ex2 switch level and the annulus constants, which
-the tests compare the package's array and closed-form code to."""
+the tests compare the package's array and closed-form code to, and a loader that
+reads a saved cloud on both of load_cloud's paths."""
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
-from heislab.constructions import WeightedCloud
+from heislab.constructions import WeightedCloud, load_cloud, rows_path
 from heislab.hgeom import MetricKind, Point, dist_many, normal_scale, plane_dist_many
 from heislab.probes import _strided
 
@@ -107,3 +109,23 @@ def annulus_constants(cantor: WeightedCloud, radii, d: float) -> tuple[float, fl
         if worst > 0.0:
             return c0, worst
     return 0.0, 0.0
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-exact equality of two float arrays (tells -0.0 from 0.0, unlike ==)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def load_both_ways(path) -> list[WeightedCloud]:
+    """load_cloud(path) from the binary companion that save_cloud wrote, with
+    np.loadtxt made to fail so that only the companion can supply the rows; then,
+    with the companion deleted, from the CSV parse. Both clouds must hold the same
+    bits and metadata; returns them in that order."""
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("the CSV was parsed")):
+        kept = load_cloud(path)
+    rows_path(path).unlink()
+    parsed = load_cloud(path)
+    assert same_bits(kept.points, parsed.points) and same_bits(kept.weights, parsed.weights)
+    assert ((kept.total_mass, kept.source, kept.err_xy, kept.err_t)
+            == (parsed.total_mass, parsed.source, parsed.err_xy, parsed.err_t))
+    return [kept, parsed]

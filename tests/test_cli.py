@@ -2,6 +2,7 @@ import json
 import os
 import resource
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from heislab.cli import main
-from heislab.constructions import load_cloud
+from heislab.constructions import load_cloud, rows_path
 from heislab.probes import SandwichReport
+from oracle import load_both_ways
 
 
 def run(*args):
@@ -35,21 +37,21 @@ def test_construct_ex1(tmp_path, capsys):
     code = run("construct", "--set", "ex1", "--level", "3", "--samples-per-rect", "64",
                "--out", out)
     assert code == 0
-    cloud = load_cloud(out)
-    assert len(cloud) == 256 * 64
-    assert cloud.total_mass == pytest.approx(1.0, rel=1e-12)
     assert (tmp_path / "ex1.meta.json").exists()
+    for cloud in load_both_ways(out):
+        assert len(cloud) == 256 * 64
+        assert cloud.total_mass == pytest.approx(1.0, rel=1e-12)
 
 
 def test_construct_cantor(tmp_path):
     out = tmp_path / "c.csv"
     assert run("construct", "--set", "cantor", "--d", "0.5", "--depth", "7",
                "--out", out) == 0
-    cloud = load_cloud(out)
-    assert len(cloud) == 2**7
-    t = cloud.points[:, 2]
-    assert (t >= 0).all() and (t <= 1).all()
-    assert (cloud.points[:, :2] == 0).all()
+    for cloud in load_both_ways(out):
+        assert len(cloud) == 2**7
+        t = cloud.points[:, 2]
+        assert (t >= 0).all() and (t <= 1).all()
+        assert (cloud.points[:, :2] == 0).all()
 
 
 def test_construct_ex2_off_dyadic_M(tmp_path):
@@ -68,7 +70,7 @@ def test_construct_ex2_defaults_build_a_probeable_cloud(tmp_path):
     assert run("construct", "--set", "ex2", "--M", "2", "--level", "9", "--samples-per-rect", "1",
                "--out", spelled / "ex2.csv", "--svg", spelled / "ex2.svg") == 0
     names = sorted(p.name for p in bare.iterdir())
-    assert names == sorted(p.name for p in spelled.iterdir()) and len(names) == 3
+    assert names == sorted(p.name for p in spelled.iterdir()) and len(names) == 4
     for name in names:
         assert (bare / name).read_bytes() == (spelled / name).read_bytes()
 
@@ -938,6 +940,42 @@ def test_dimension_header_only_csv_exits_2(tmp_path, capsys, rows, message):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0,0,0.5,0.5\n0,0,1\n", "c.csv: every row must have 4 fields"),
+    ("0,0,0.5,0.5\n0,abc,1,0.5\n", "c.csv: every row must have 4 fields"),
+    ("\n", "c.csv: no data rows"),
+], ids=["ragged", "abc", "blank-only"])
+def test_malformed_csv_beside_a_foreign_companion_exits_2(tmp_path, capsys, rows, message):
+    # a companion of another cloud with as many rows is never read in place of the CSV
+    cloud_path, other = tmp_path / "c.csv", tmp_path / "other.csv"
+    run("construct", "--set", "cantor", "--d", "0.5", "--depth", "1", "--out", cloud_path)
+    run("construct", "--set", "xseg", "--points", "2", "--out", other)
+    shutil.copyfile(rows_path(other), rows_path(cloud_path))
+    cloud_path.write_text("x,y,t,weight\n" + rows)
+    capsys.readouterr()
+    code = run("dimension", "--in", cloud_path, "--metric", "euclidean",
+               "--delta-min", "0.05", "--delta-max", "0.4", "--out", tmp_path / "e.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dimension", "--metric", "euclidean", "--delta-min", "5e-324", "--delta-max", "0.5"],
+    ["density", "--probe", "thm1", "--r-min", "1e-320", "--r-max", "0.5"],
+], ids=["dimension", "density"])
+def test_ladder_without_a_finite_default_count_exits_2(tmp_path, capsys, argv):
+    # 0.5 / lo overflows, so 8 log10(hi / lo) is infinite
+    cloud_path = tmp_path / "c.csv"
+    run("construct", "--set", "tseg", "--points", "64", "--out", cloud_path)
+    capsys.readouterr()
+    assert run(*argv, "--in", cloud_path, "--out", tmp_path / "o.json") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "no finite default count" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 def test_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys, value):
     cloud_path = tmp_path / "xseg.csv"
@@ -1002,8 +1040,8 @@ def test_missing_sidecar_loads_as_unknown(tmp_path, capsys):
     run("construct", "--set", "ex1", "--level", "3", "--samples-per-rect", "4",
         "--out", cloud_path)
     (tmp_path / "ex1.meta.json").unlink()
-    cloud = load_cloud(cloud_path)
-    assert cloud.source == {"kind": "unknown"} and cloud.placement_error == 0.0
+    for cloud in load_both_ways(cloud_path):
+        assert cloud.source == {"kind": "unknown"} and cloud.placement_error == 0.0
     assert run("dimension", "--in", cloud_path, "--metric", "euclidean",
                "--delta-min", "0.05", "--delta-max", "0.4", "--out", tmp_path / "e.json") == 0
     capsys.readouterr()

@@ -1,7 +1,13 @@
 import csv
 import json
 import math
+import shutil
+import struct
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +33,7 @@ from heislab.constructions import (
     level_sides,
     load_cloud,
     product_cloud,
+    rows_path,
     save_cloud,
     segment_cloud,
     subdivide_rect,
@@ -35,7 +42,7 @@ from heislab.constructions import (
 )
 from heislab.hgeom import MetricKind, Point
 from heislab.probes import ex2_probe
-from oracle import ORIGIN, dist, ex2_switch_level
+from oracle import ORIGIN, dist, ex2_switch_level, load_both_ways, same_bits
 
 H = MetricKind.HEISENBERG
 
@@ -452,12 +459,14 @@ def test_csv_round_trip_exact(tmp_path):
     cloud = family_cloud(build_family(Example1(), 2), 3, kind="ex1")
     path = tmp_path / "c.csv"
     save_cloud(cloud, path)
-    again = load_cloud(path)
-    assert np.array_equal(cloud.points, again.points)
-    assert np.array_equal(cloud.weights, again.weights)
-    assert again.total_mass == cloud.total_mass
-    assert again.source == cloud.source
-    assert (again.err_xy, again.err_t) == (cloud.err_xy, cloud.err_t)
+    assert rows_path(path) == tmp_path / "c.rows"
+    assert rows_path(path).stat().st_size == 40 + 32 * len(cloud)
+    for again in load_both_ways(path):
+        assert np.array_equal(cloud.points, again.points)
+        assert np.array_equal(cloud.weights, again.weights)
+        assert again.total_mass == cloud.total_mass
+        assert again.source == cloud.source
+        assert (again.err_xy, again.err_t) == (cloud.err_xy, cloud.err_t)
     meta = json.loads((tmp_path / "c.meta.json").read_text())
     assert sorted(meta) == ["err_t", "err_xy", "source", "total_mass"]
 
@@ -487,10 +496,10 @@ def test_save_cloud_bytes_and_bits(tmp_path):
     save_cloud(cloud, path)
     _save_ref(cloud, ref)
     assert path.read_bytes() == ref.read_bytes()
-    again = load_cloud(path)
-    # array_equal cannot tell -0.0 from 0.0; the bit patterns can
-    assert np.array_equal(again.points.view(np.int64), cloud.points.view(np.int64))
-    assert np.array_equal(again.weights.view(np.int64), cloud.weights.view(np.int64))
+    for again in load_both_ways(path):
+        # array_equal cannot tell -0.0 from 0.0; the bit patterns can
+        assert np.array_equal(again.points.view(np.int64), cloud.points.view(np.int64))
+        assert np.array_equal(again.weights.view(np.int64), cloud.weights.view(np.int64))
 
 
 def test_save_cloud_repeated_values_keep_their_bits(tmp_path):
@@ -507,9 +516,75 @@ def test_save_cloud_repeated_values_keep_their_bits(tmp_path):
     save_cloud(cloud, path)
     _save_ref(cloud, ref)
     assert path.read_bytes() == ref.read_bytes()
-    again = load_cloud(path)
-    assert np.array_equal(again.points.view(np.int64), cloud.points.view(np.int64))
-    assert np.array_equal(again.weights.view(np.int64), cloud.weights.view(np.int64))
+    for again in load_both_ways(path):
+        assert np.array_equal(again.points.view(np.int64), cloud.points.view(np.int64))
+        assert np.array_equal(again.weights.view(np.int64), cloud.weights.view(np.int64))
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# -0.0, the smallest and largest subnormals, the smallest normal and +-max
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, _float(0x000F_FFFF_FFFF_FFFF), sys.float_info.min,
+          sys.float_info.max, -sys.float_info.max]
+_COORDS = st.one_of(st.sampled_from(_EDGES),
+                    st.integers(0, 2**64 - 1).map(_float).filter(math.isfinite))
+# nonnegative (or -0.0) and below 1, so the total mass stays finite
+_WEIGHTS = st.one_of(st.sampled_from([w for w in _EDGES if 0.0 <= w < 1.0]),
+                     st.integers(0, 0x3FEF_FFFF_FFFF_FFFF).map(_float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_COORDS, _COORDS, _COORDS, _WEIGHTS), min_size=1, max_size=12))
+def test_both_read_paths_give_back_every_bit(rows):
+    rows = np.array(rows, dtype=np.float64)
+    cloud = WeightedCloud(points=rows[:, :3], weights=rows[:, 3],
+                          total_mass=float(rows[:, 3].sum()), source={"kind": "unknown"})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        save_cloud(cloud, path)
+        for again in load_both_ways(path):
+            assert same_bits(again.points, cloud.points)
+            assert same_bits(again.weights, cloud.weights)
+
+
+def _spoil(path, how):
+    rows = rows_path(path)
+    if how == "csv-byte-changed":
+        # 0.03125 -> 0.04125 in the first row's x; the weights, and so the mass, stay
+        path.write_bytes(path.read_bytes().replace(b"\r\n0.03125,", b"\r\n0.04125,", 1))
+    elif how == "companion-truncated":
+        rows.write_bytes(rows.read_bytes()[:-8])
+    elif how == "companion-header-cut":
+        rows.write_bytes(rows.read_bytes()[:39])
+    elif how == "companion-extended":
+        rows.write_bytes(rows.read_bytes() + bytes(32))
+    elif how == "foreign-companion":
+        # the same row count, so only the digest tells it apart
+        other = path.with_name("other.csv")
+        save_cloud(segment_cloud("t", 0.0, 1.0, 16), other)
+        shutil.copyfile(rows_path(other), rows)
+    else:
+        rows.unlink()
+        rows.mkdir()
+
+
+@pytest.mark.parametrize("how", ["csv-byte-changed", "companion-truncated",
+                                 "companion-header-cut", "companion-extended",
+                                 "foreign-companion", "companion-unreadable"])
+def test_load_ignores_a_companion_that_does_not_match(tmp_path, how):
+    # each gives the CSV parse's result, from one parse
+    path = tmp_path / "c.csv"
+    cloud = segment_cloud("x", 0.0, 1.0, 16)
+    save_cloud(cloud, path)
+    _spoil(path, how)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
+        again = load_cloud(path)
+    assert parse.call_count == 1
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert same_bits(again.points, data[:, :3]) and same_bits(again.weights, data[:, 3])
+    assert same_bits(again.points, cloud.points) is (how != "csv-byte-changed")
 
 
 def test_save_cloud_memory_per_row(tmp_path):
@@ -538,6 +613,15 @@ def test_write_text_failure_removes_temp_and_keeps_target(tmp_path):
         write_text(chunks(), path)
     assert path.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_write_text_takes_strings_and_bytes_chunks(tmp_path):
+    path = tmp_path / "out.bin"
+    write_text(["a,\r\n", b"\x00\xff", memoryview(np.array([1.5, -0.0]))], path)
+    assert path.read_bytes() == b"a,\r\n\x00\xff" + np.array([1.5, -0.0]).tobytes()
+    write_text(b"raw", path)
+    assert path.read_bytes() == b"raw"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

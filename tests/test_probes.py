@@ -273,8 +273,12 @@ def test_ex2_probe_validations():
     (lambda: ex3_probe(0.0, 1, 2), r"d must lie in \(0, 1\)"),
     (lambda: ex3_probe(1.0, 1, 2), r"d must lie in \(0, 1\)"),
     (lambda: ex3_probe(math.nan, 1, 2), r"d must lie in \(0, 1\)"),
+    # on its own, not only behind ex3_probe's check: at d = NaN it once gave (0, 0)
+    *[(lambda d=d: estimate_annulus_constants(cantor_cloud(0.5, 5), [0.5, 0.2], d),
+       r"d must lie in \(0, 1\)") for d in (math.nan, 0.0, 1.0, -0.5, math.inf)],
 ], ids=["no-admissible-center", "no-side-length", "no-annulus-radius", "d-zero", "d-one",
-        "d-nan"])
+        "d-nan", "annulus-d-nan", "annulus-d-zero", "annulus-d-one", "annulus-d-negative",
+        "annulus-d-inf"])
 def test_probes_refuse_bad_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
